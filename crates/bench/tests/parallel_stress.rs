@@ -27,7 +27,7 @@ const WATCHDOG: Duration = Duration::from_secs(300);
 
 /// Run fingerprint compared across iterations: reproduced, runs,
 /// solver calls, and the ordered (signature, verdict) stream.
-type Fingerprint = (bool, usize, usize, Vec<(u128, bool)>);
+type Fingerprint = (bool, usize, usize, search::SolvedSigs);
 
 #[test]
 fn combined_row_survives_repeated_parallel_replay() {
@@ -83,9 +83,9 @@ fn combined_row_survives_repeated_parallel_replay() {
             );
             if f.dedup_resets == 0 {
                 let mut seen = HashSet::new();
-                for (sig, _) in &f.solved_sigs {
+                for (sig, _) in f.solved_sigs.iter() {
                     assert!(
-                        seen.insert(*sig),
+                        seen.insert(sig),
                         "iteration {iter}: candidate {sig:#034x} solved twice \
                          with no dedup reset"
                     );

@@ -14,6 +14,12 @@
 //! combined row's search stays bounded — repair activity capped, the
 //! duplicate-offer storm below its measured ceiling — so a regression
 //! back toward the old grind is caught even before it reaches ∞.
+//!
+//! The solver grind is guarded the same way, by count rather than wall
+//! clock: every UNSAT verdict on the exp-2 and exp-4 combined rows and
+//! in the HC analysis must come with a proof (`unproven_unsat == 0`).
+//! Before the solver's stall proof, each of those verdicts ran the full
+//! iteration budget.
 
 use instrument::Method;
 use retrace_bench::fixtures::{userver_analysis, userver_experiment, Knobs};
@@ -35,6 +41,18 @@ fn knobs() -> Knobs {
 
 fn exp2() -> retrace_bench::setup::Experiment {
     userver_experiment(2, knobs())
+}
+
+/// Replays experiment `id`'s crash under the combined (dynamic+static,
+/// lc) plan.
+fn combined_replay(id: usize) -> replay::ReplayResult {
+    let abench = userver_analysis(knobs());
+    let bundle = abench.wb.analyze(Coverage::Lc.runs());
+    let exp = userver_experiment(id, knobs());
+    let plan = exp.wb.plan(Method::DynamicStatic, &bundle);
+    let run = exp.wb.logged_run(&plan, &exp.parts);
+    let report = run.report.expect("deployment crashes");
+    exp.wb.replay(&plan, &report, BUDGET)
 }
 
 #[test]
@@ -69,13 +87,7 @@ fn dynamic_row_stays_finite_with_low_unsat_ratio() {
 
 #[test]
 fn combined_row_search_cost_is_bounded() {
-    let abench = userver_analysis(knobs());
-    let bundle = abench.wb.analyze(Coverage::Lc.runs());
-    let exp = exp2();
-    let plan = exp.wb.plan(Method::DynamicStatic, &bundle);
-    let run = exp.wb.logged_run(&plan, &exp.parts);
-    let report = run.report.expect("deployment crashes");
-    let res = exp.wb.replay(&plan, &report, BUDGET);
+    let res = combined_replay(2);
     // The cursor format made this row finite — well inside the budget
     // (~30 runs measured; `combined_row.rs` guards the exact envelope).
     assert!(
@@ -103,5 +115,44 @@ fn combined_row_search_cost_is_bounded() {
         res.frontier.skipped_duplicate < 80_000,
         "duplicate-offer storm grew: {}",
         res.frontier.skipped_duplicate
+    );
+    // ...and no UNSAT verdict is a full-budget grind.
+    assert_eq!(
+        res.frontier.unproven_unsat, 0,
+        "combined exp 2: UNSAT verdicts without a proof: {:?}",
+        res.frontier
+    );
+}
+
+#[test]
+fn combined_exp4_unsat_verdicts_are_proven() {
+    // Exp 4's cookie-header grind is the UNSAT-heaviest row (about
+    // half of its solver calls are UNSAT); each one must be refuted,
+    // not ground through to the budget.
+    let res = combined_replay(4);
+    assert!(
+        res.frontier.solved_unsat > 0,
+        "the row exercises UNSAT sets"
+    );
+    assert_eq!(
+        res.frontier.unproven_unsat, 0,
+        "combined exp 4: UNSAT verdicts without a proof: {:?}",
+        res.frontier
+    );
+}
+
+#[test]
+fn hc_analysis_unsat_verdicts_are_proven() {
+    let abench = userver_analysis(knobs());
+    let bundle = abench.wb.analyze(Coverage::Hc.runs());
+    let f = &bundle.dyn_result.frontier;
+    assert!(f.solved_unsat > 0, "the analysis exercises UNSAT sets");
+    assert_eq!(
+        f.unproven_unsat, 0,
+        "HC analysis: UNSAT verdicts without a proof: {f:?}"
+    );
+    assert_eq!(
+        bundle.dyn_result.pin_fallbacks, 0,
+        "a proven-UNSAT bounded form skips the pinned retry"
     );
 }

@@ -524,7 +524,7 @@ impl<'p> Engine<'p> {
                     next = Some(model[..vars.n_controllable as usize].to_vec());
                     break;
                 }
-                frontier.note_solved_sig(sig, false);
+                frontier.note_unsat_sig(sig, sstats.refuted);
                 if wall_expired(&start) {
                     timed_out = true;
                     break;
@@ -748,7 +748,7 @@ impl<'p> Engine<'p> {
                                 staged = Some((rec, ctrl));
                                 break 'streak;
                             }
-                            frontier.note_solved_sig(sig, false);
+                            frontier.note_unsat_sig(sig, sstats.refuted);
                             if wall_expired(&start) {
                                 timed_out = true;
                                 frontier.restore(pops.collect());

@@ -914,7 +914,7 @@ impl<'p> ReplayEngine<'p> {
                     next = Some(model);
                     break;
                 }
-                frontier.note_solved_sig(sig, false);
+                frontier.note_unsat_sig(sig, sstats.refuted);
                 self.handle_unsat(sig, &mut frontier, &mut book);
                 if wall_expired(&start) {
                     timed_out = true;
@@ -1226,7 +1226,7 @@ impl<'p> ReplayEngine<'p> {
                                 staged_run = Some((artifacts, model));
                                 break 'streak;
                             }
-                            frontier.note_solved_sig(sig, false);
+                            frontier.note_unsat_sig(sig, sstats.refuted);
                             if book.forced_meta.contains_key(&sig) {
                                 // The repair bookkeeping may queue a
                                 // priority set: put the speculative tail

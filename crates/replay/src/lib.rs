@@ -1107,7 +1107,7 @@ mod e2e {
         usize,
         Option<Vec<Vec<u8>>>,
         Option<Vec<i64>>,
-        Vec<(u128, bool)>,
+        search::SolvedSigs,
         u64,
         u64,
         (u64, u64, u64),

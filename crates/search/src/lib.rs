@@ -333,11 +333,56 @@ pub struct FrontierStats {
     /// The worker-count invariance suite compares these across
     /// `workers ∈ {1, 2, 4}`: the *set of solved candidates* must not
     /// depend on how many threads distributed the work.
-    pub solved_sigs: Vec<(u128, bool)>,
+    pub solved_sigs: SolvedSigs,
+    /// UNSAT verdicts the solver reached by exhausting its iteration
+    /// budget rather than by a proof (`SolveStats::refuted` unset). Each
+    /// one is a full-budget grind; the workloads' guards pin it at 0.
+    pub unproven_unsat: u64,
     /// Replay/concolic runs executed per worker thread (empty for the
     /// serial engines). Scheduling-dependent — excluded from invariance
     /// comparisons; the counts only show how work spread across threads.
     pub worker_runs: Vec<u64>,
+}
+
+/// The ordered `(signature, SAT?)` stream of a session's committed
+/// solves, stored compactly: 16 bytes per solve plus one verdict bit,
+/// trimmed to size when the session ends. Equality compares the whole
+/// ordered stream.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SolvedSigs {
+    sigs: Vec<u128>,
+    /// Bit `i % 64` of word `i / 64` is solve `i`'s verdict.
+    sat: Vec<u64>,
+}
+
+impl SolvedSigs {
+    /// Appends one committed solve.
+    pub fn push(&mut self, sig: u128, sat: bool) {
+        let i = self.sigs.len();
+        if i.is_multiple_of(64) {
+            self.sat.push(0);
+        }
+        self.sat[i / 64] |= u64::from(sat) << (i % 64);
+        self.sigs.push(sig);
+    }
+
+    /// True before the first committed solve.
+    pub fn is_empty(&self) -> bool {
+        self.sigs.is_empty()
+    }
+
+    /// The solves in commit order, as `(signature, SAT?)`.
+    pub fn iter(&self) -> impl Iterator<Item = (u128, bool)> + '_ {
+        self.sigs
+            .iter()
+            .enumerate()
+            .map(|(i, &sig)| (sig, (self.sat[i / 64] >> (i % 64)) & 1 == 1))
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.sigs.shrink_to_fit();
+        self.sat.shrink_to_fit();
+    }
 }
 
 impl FrontierStats {
@@ -679,8 +724,18 @@ impl Frontier {
     /// the invariance suite can compare the solved-candidate set across
     /// worker counts.
     pub fn note_solved_sig(&mut self, sig: u128, sat: bool) {
-        self.stats.solved_sigs.push((sig, sat));
+        self.stats.solved_sigs.push(sig, sat);
         self.note_solved(sat);
+    }
+
+    /// [`note_solved_sig`](Self::note_solved_sig) for an UNSAT verdict;
+    /// `proven` is the solver's `refuted` flag. An unproven verdict ran
+    /// the solver's budget out and counts in `unproven_unsat`.
+    pub fn note_unsat_sig(&mut self, sig: u128, proven: bool) {
+        if !proven {
+            self.stats.unproven_unsat += 1;
+        }
+        self.note_solved_sig(sig, false);
     }
 
     /// Adds a parallel phase's per-worker processed-item counts into the
@@ -763,7 +818,8 @@ impl Frontier {
 
     /// Consumes the frontier, returning its counters for the result
     /// struct.
-    pub fn into_stats(self) -> FrontierStats {
+    pub fn into_stats(mut self) -> FrontierStats {
+        self.stats.solved_sigs.shrink_to_fit();
         self.stats
     }
 }
@@ -1192,8 +1248,11 @@ mod tests {
         assert_eq!(f.stats().committed, 1);
         assert_eq!(f.stats().restored, 2);
         assert_eq!(f.stats().popped, f.stats().committed + f.stats().restored);
-        assert_eq!(f.stats().solved_sigs.len(), 1);
-        assert!(f.stats().solved_sigs[0].1);
+        let sig = signature(&head.set.cs);
+        assert_eq!(
+            f.stats().solved_sigs.iter().collect::<Vec<_>>(),
+            vec![(sig, true)]
+        );
         assert_eq!(f.len(), 2, "restored sets are poppable again");
     }
 

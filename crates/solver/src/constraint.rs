@@ -43,6 +43,16 @@ impl Lit {
     pub fn holds(&self, arena: &ExprArena, assign: &[i64]) -> bool {
         (arena.eval(self.expr, assign) != 0) == self.positive
     }
+
+    /// Whether the literal fails for every value in `r`, a sound range
+    /// of its expression — the per-literal interval refutation.
+    pub fn excluded_by(&self, r: Interval) -> bool {
+        if self.positive {
+            r.is_zero()
+        } else {
+            !r.contains(0)
+        }
+    }
 }
 
 /// A first-class interval constraint: `lo <= expr <= hi`, optionally with
@@ -134,6 +144,15 @@ impl RangeConstraint {
     /// Whether the constraint holds under an assignment.
     pub fn holds(&self, arena: &ExprArena, assign: &[i64]) -> bool {
         self.admits(arena.eval(self.expr, assign))
+    }
+
+    /// Whether no value in `r`, a sound range of the expression, is
+    /// admissible (bounds and alignment).
+    pub fn excluded_by(&self, r: Interval) -> bool {
+        match r.intersect(&self.interval()) {
+            None => true,
+            Some(meet) => meet.align_to(self.align, self.phase).is_none(),
+        }
     }
 
     /// The admissible value nearest to `v` (ties toward the lower one);
@@ -291,20 +310,14 @@ impl ConstraintSet {
                 .and_then(|c| c.range_of(e))
                 .unwrap_or_else(|| range(arena, e))
         };
-        self.lits.iter().skip(skip_lits).any(|l| {
-            let r = range_of(l.expr);
-            if l.positive {
-                r.is_zero()
-            } else {
-                !r.contains(0)
-            }
-        }) || self.ranges.iter().any(|rc| {
-            let r = range_of(rc.expr);
-            match r.intersect(&rc.interval()) {
-                None => true,
-                Some(meet) => meet.align_to(rc.align, rc.phase).is_none(),
-            }
-        })
+        self.lits
+            .iter()
+            .skip(skip_lits)
+            .any(|l| l.excluded_by(range_of(l.expr)))
+            || self
+                .ranges
+                .iter()
+                .any(|rc| rc.excluded_by(range_of(rc.expr)))
     }
 
     /// Renders the conjunction for diagnostics.

@@ -238,6 +238,66 @@ mod proptests {
             }
         }
 
+        /// The stall proof is sound: whenever a set over two byte
+        /// variables comes back `refuted`, or the proof alone (run
+        /// directly, whether or not the search would stall) claims it,
+        /// none of the 65,536 assignments satisfies it. The sets mix the
+        /// proof's three shapes: single-byte comparisons with constants
+        /// biased to the domain edges (enumeration), the octal-mode
+        /// linear form over both bytes (hulls), random expressions, and
+        /// range constraints.
+        #[test]
+        fn refuted_sets_have_no_model(
+            ops in proptest::collection::vec(any::<u8>(), 1..16),
+            items in proptest::collection::vec((any::<u8>(), 0i64..256, any::<bool>()), 2..8),
+            seed in proptest::collection::vec(0i64..256, 2),
+        ) {
+            let mut arena = ExprArena::new();
+            let vars: Vec<ExprRef> =
+                (0..2).map(|_| arena.fresh_var(VarInfo::byte()).1).collect();
+            let mut cs = ConstraintSet::new();
+            for (k, &(shape, c, positive)) in items.iter().enumerate() {
+                let (e, c) = match shape % 4 {
+                    0 => (vars[(shape >> 7) as usize], [0, 1, 254, 255][c as usize % 4]),
+                    1 => (vars[(shape >> 7) as usize], c),
+                    2 => {
+                        let base = arena.constant(c % 64);
+                        let scale = arena.constant(((shape >> 2) % 9 + 1) as i64);
+                        let hi = arena.bin(Op::Sub, vars[0], base);
+                        let hi = arena.bin(Op::Mul, hi, scale);
+                        let lo = arena.bin(Op::Sub, vars[1], base);
+                        (arena.bin(Op::Add, hi, lo), c - 128)
+                    }
+                    _ => (arb_expr(&mut arena, &vars, &ops[k.min(ops.len() - 1)..], 0), c),
+                };
+                if shape % 13 == 12 {
+                    cs.push_range(RangeConstraint::range(e, c - 40, c, c));
+                    continue;
+                }
+                let op = [Op::Eq, Op::Ne, Op::Lt, Op::Le, Op::Gt, Op::Ge][(shape >> 2) as usize % 6];
+                let c = arena.constant(c);
+                let cmp = arena.bin(op, e, c);
+                cs.push(Lit { expr: cmp, positive });
+            }
+            let cfg = SolveCfg { max_iters: 2000, ..SolveCfg::default() };
+            let (model, stats) = solve_with_stats(&arena, &cs, Some(&seed), &cfg);
+            let claimed = solve::stall_proof_refutes(&arena, &cs, &seed);
+            if stats.refuted || claimed {
+                prop_assert!(model.is_none());
+                let mut ev = arena::Evaluator::new(&arena);
+                for x in 0..256i64 {
+                    for y in 0..256i64 {
+                        let assign = [x, y];
+                        ev.invalidate();
+                        let sat = cs.lits.iter().all(|l| {
+                            (ev.eval(&arena, l.expr, &assign) != 0) == l.positive
+                        }) && cs.ranges.iter().all(|r| r.admits(ev.eval(&arena, r.expr, &assign)));
+                        prop_assert!(!sat, "refuted set satisfied by {:?}", assign);
+                    }
+                }
+            }
+        }
+
         /// Solving a pending set with the prefix cache populated from an
         /// executed path is bit-identical to solving without it: same
         /// verdict, same model, same search statistics (the prefix-hit

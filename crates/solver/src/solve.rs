@@ -20,6 +20,21 @@
 //!    each move re-evaluates only the literals depending on the mutated
 //!    variable (with a generation-stamped shared memo). Deterministic via
 //!    an internal xorshift PRNG seeded by the caller.
+//! 4. **Stall proof** — at the search's first stall (the first iteration
+//!    that does not raise the satisfied count) the solver tries once to
+//!    prove the set UNSAT from the items the *seed* violates: (a) a
+//!    literal expression asserted with both polarities; (b) a variable
+//!    of at most 256 values whose single-support items admit no value of
+//!    its propagated domain (enumerated); (c) a violated multi-variable
+//!    item whose forward interval, over domains narrowed to the hulls of
+//!    (b)'s admissible values, excludes its required truth value. Each
+//!    conflict of (a) and (b) involves an item the seed violates, so the
+//!    seed's violations are enough. A proof returns `None` with
+//!    [`SolveStats::refuted`] set instead of grinding through the
+//!    budget. The proof restores the assignment and draws nothing from
+//!    the PRNG, so when it fails the search continues exactly as
+//!    before: verdicts and models never depend on it, only `iters` and
+//!    `restarts` do.
 //!
 //! First-class [`RangeConstraint`]s ride the same pipeline: backward
 //! interval propagation ([`propagate`]) narrows the variable domains
@@ -33,10 +48,10 @@
 use crate::arena::{Evaluator, ExprArena, ExprRef, Node, VarId, VarInfo};
 use crate::cache::PrefixCache;
 use crate::constraint::{ConstraintSet, RangeConstraint};
-use crate::interval::propagate;
+use crate::interval::{propagate, range_in};
 use crate::op::Op;
 use crate::op::UnOp;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// The 64-bit golden-ratio constant (`2^64 / φ`), the standard
 /// multiplicative seed-mixing step.
@@ -80,8 +95,9 @@ pub struct SolveStats {
     pub inversions: usize,
     /// Random restarts taken.
     pub restarts: usize,
-    /// The set was *proved* unsatisfiable (interval refutation or empty
-    /// propagated domain) rather than merely not solved within budget.
+    /// The set was *proved* unsatisfiable (interval refutation, empty
+    /// propagated domain, or the stall proof) rather than merely not
+    /// solved within budget.
     pub refuted: bool,
     /// [`solve_or_pin`] had to fall back to the hard-pinned variant.
     pub pin_fallback: bool,
@@ -156,7 +172,20 @@ impl Item {
             Item::Range(r) => r.expr,
         }
     }
+
+    /// Whether the item fails for every value of the expression's
+    /// forward interval under `domains`.
+    fn excluded_in(&self, arena: &ExprArena, domains: &[VarInfo]) -> bool {
+        let r = range_in(arena, self.expr(), domains);
+        match self {
+            Item::Lit(l) => l.excluded_by(r),
+            Item::Range(rc) => rc.excluded_by(r),
+        }
+    }
 }
+
+/// Widest variable domain the stall proof enumerates: a byte's values.
+const PROOF_DOMAIN: i128 = 256;
 
 struct Search<'a> {
     arena: &'a ExprArena,
@@ -169,6 +198,9 @@ struct Search<'a> {
     n_sat: usize,
     supports: Vec<Vec<VarId>>,
     var_lits: HashMap<VarId, Vec<usize>>,
+    /// Items the seed assignment violates, recorded once: every conflict
+    /// the stall proof looks for involves one of them.
+    seed_violated: Vec<usize>,
 }
 
 impl<'a> Search<'a> {
@@ -214,8 +246,10 @@ impl<'a> Search<'a> {
             n_sat: 0,
             supports,
             var_lits,
+            seed_violated: Vec::new(),
         };
         s.recompute_all();
+        s.seed_violated = (0..n).filter(|&i| !s.sat[i]).collect();
         s
     }
 
@@ -292,6 +326,103 @@ impl<'a> Search<'a> {
     fn first_unsat(&self) -> Option<usize> {
         self.sat.iter().position(|s| !*s)
     }
+
+    /// The stall proof: `true` only when no assignment within the
+    /// propagated domains satisfies every item. It reads the seed's
+    /// violated items, not the current assignment, restores `assign`,
+    /// invalidates the evaluator and draws nothing from the RNG, so a
+    /// failed proof leaves the search exactly as it was.
+    fn refutes(&mut self) -> bool {
+        // 1. A literal expression asserted with both polarities: the
+        //    seed violates one of the pair.
+        let opposites: HashSet<(ExprRef, bool)> = self
+            .seed_violated
+            .iter()
+            .filter_map(|&i| match self.items[i] {
+                Item::Lit(l) => Some((l.expr, !l.positive)),
+                Item::Range(_) => None,
+            })
+            .collect();
+        if self
+            .items
+            .iter()
+            .any(|it| matches!(it, Item::Lit(l) if opposites.contains(&(l.expr, l.positive))))
+        {
+            return true;
+        }
+        // 2. A small-domain variable whose single-support items admit no
+        //    value. The seed's value fails one of them, so the variable
+        //    is in a seed-violated item's support. The admissible
+        //    values' hull narrows the variable's domain for step 3.
+        let mut vars: Vec<VarId> = self
+            .seed_violated
+            .iter()
+            .flat_map(|&i| self.supports[i].iter().copied())
+            .collect();
+        vars.sort_unstable();
+        vars.dedup();
+        let mut hulls = self.domains.clone();
+        for v in vars {
+            let slot = v.0 as usize;
+            let dom = self.domains[slot];
+            if dom.hi as i128 - dom.lo as i128 >= PROOF_DOMAIN {
+                continue;
+            }
+            let single: Vec<usize> = self.var_lits[&v]
+                .iter()
+                .copied()
+                .filter(|&i| self.supports[i].len() == 1)
+                .collect();
+            if single.is_empty() {
+                continue;
+            }
+            let old = self.assign[slot];
+            let mut admitted: Option<(i64, i64)> = None;
+            for x in dom.lo..=dom.hi {
+                self.assign[slot] = x;
+                self.ev.invalidate();
+                if single.iter().all(|&i| self.lit_holds(i)) {
+                    admitted = Some((admitted.map_or(x, |(lo, _)| lo), x));
+                }
+            }
+            self.assign[slot] = old;
+            self.ev.invalidate();
+            match admitted {
+                Some((lo, hi)) => hulls[slot] = VarInfo::range(lo, hi),
+                None => return true,
+            }
+        }
+        // 3. A violated multi-variable item whose forward interval over
+        //    the hulls excludes its required truth value.
+        self.seed_violated
+            .iter()
+            .any(|&i| self.supports[i].len() > 1 && self.items[i].excluded_in(self.arena, &hulls))
+    }
+}
+
+/// The search's starting assignment: the seed clamped into the domains.
+fn clamped_seed(n_vars: usize, domains: &[VarInfo], seed_assign: Option<&[i64]>) -> Vec<i64> {
+    (0..n_vars)
+        .map(|i| {
+            let info = domains.get(i).copied().unwrap_or(VarInfo::byte());
+            match seed_assign.and_then(|s| s.get(i)) {
+                Some(v) => info.clamp(*v),
+                None => info.clamp(0),
+            }
+        })
+        .collect()
+}
+
+/// Runs the stall proof on `cs` from `seed` as the search would at its
+/// first stall, whether or not the search would ever stall (the
+/// soundness proptest's direct hook).
+#[cfg(test)]
+pub(crate) fn stall_proof_refutes(arena: &ExprArena, cs: &ConstraintSet, seed: &[i64]) -> bool {
+    let Some(domains) = propagate(arena, cs) else {
+        return false;
+    };
+    let init = clamped_seed(arena.n_vars(), &domains, Some(seed));
+    Search::new(arena, cs, domains, init, None).refutes()
 }
 
 /// Like [`solve`], also returning search statistics.
@@ -342,28 +473,16 @@ pub fn solve_with_stats_cached(
     // Re-run the literal refutation under the narrowed domains — this is
     // where a branch literal contradicting a region bound is caught.
     if cs.has_ranges()
-        && cs.lits.iter().any(|l| {
-            let r = crate::interval::range_in(arena, l.expr, &domains);
-            if l.positive {
-                r.is_zero()
-            } else {
-                !r.contains(0)
-            }
-        })
+        && cs
+            .lits
+            .iter()
+            .any(|l| l.excluded_by(range_in(arena, l.expr, &domains)))
     {
         stats.refuted = true;
         return (None, stats);
     }
     let n_vars = arena.n_vars();
-    let init: Vec<i64> = (0..n_vars)
-        .map(|i| {
-            let info = domains.get(i).copied().unwrap_or(VarInfo::byte());
-            match seed_assign.and_then(|s| s.get(i)) {
-                Some(v) => info.clamp(*v),
-                None => info.clamp(0),
-            }
-        })
-        .collect();
+    let init = clamped_seed(n_vars, &domains, seed_assign);
     let n_items = cs.n_constraints();
     let mut search = Search::new(arena, cs, domains, init, cache);
     if search.n_sat == n_items {
@@ -381,6 +500,7 @@ pub fn solve_with_stats_cached(
     let mut best = search.assign.clone();
     let mut best_score = search.n_sat;
     let mut since_improvement = 0usize;
+    let mut stalled = false;
 
     for iter in 0..cfg.max_iters {
         stats.iters = iter + 1;
@@ -472,6 +592,15 @@ pub fn solve_with_stats_cached(
             best = search.assign.clone();
             since_improvement = 0;
         } else {
+            // The first stall: try to prove the set UNSAT before
+            // grinding through the rest of the budget.
+            if !stalled {
+                stalled = true;
+                if search.refutes() {
+                    stats.refuted = true;
+                    return (None, stats);
+                }
+            }
             since_improvement += 1;
             if since_improvement >= cfg.restart_after {
                 stats.restarts += 1;
@@ -928,6 +1057,117 @@ mod tests {
             ..SolveCfg::default()
         };
         assert!(solve(&a, &cs, None, &cfg).is_none());
+    }
+
+    fn lit(expr: ExprRef, positive: bool) -> Lit {
+        Lit { expr, positive }
+    }
+
+    /// Solves `cs` from `seed` and asserts the stall proof refuted it:
+    /// after the search started (no pre-search refutation), within a
+    /// handful of iterations.
+    fn assert_stall_refuted(a: &ExprArena, cs: &ConstraintSet, seed: &[i64]) {
+        let (m, stats) = solve_with_stats(a, cs, Some(seed), &SolveCfg::default());
+        assert!(m.is_none());
+        assert!(stats.refuted, "the stall proof must refute the set");
+        assert!(
+            (1..=4).contains(&stats.iters),
+            "refuted at the first stall, not by the budget: {} iters",
+            stats.iters
+        );
+    }
+
+    #[test]
+    fn stall_proof_finds_a_literal_asserted_both_ways() {
+        // The diff workload's shape: a forced prefix asserts
+        // `in0 != in17`, the negated tail asserts its opposite.
+        let (mut a, v) = bytes(18);
+        let ca = a.constant(b'a' as i64);
+        let differ = a.bin(Op::Ne, v[0], v[17]);
+        let mut cs = ConstraintSet::new();
+        cs.push(lit(a.bin(Op::Eq, v[0], ca), true));
+        cs.push(lit(differ, true));
+        cs.push(lit(differ, false));
+        let mut seed = vec![b'x' as i64; 18];
+        seed[0] = b'a' as i64;
+        seed[17] = b'b' as i64;
+        assert_stall_refuted(&a, &cs, &seed);
+    }
+
+    #[test]
+    fn stall_proof_enumerates_a_byte_domain() {
+        // The uServer's byte conflict: the log forces `GET /`, and the
+        // negated tail demands that the path byte be a digit. No single
+        // expression repeats and no interval excludes either literal;
+        // only the 256 values of `in4` show the clash.
+        let (mut a, v) = bytes(5);
+        let mut cs = ConstraintSet::new();
+        for (i, ch) in b"GET /".iter().enumerate() {
+            let c = a.constant(*ch as i64);
+            cs.push(lit(a.bin(Op::Eq, v[i], c), true));
+        }
+        let zero = a.constant(b'0' as i64);
+        cs.push(lit(a.bin(Op::Lt, v[4], zero), false));
+        let seed: Vec<i64> = b"GET /".iter().map(|c| *c as i64).collect();
+        assert_stall_refuted(&a, &cs, &seed);
+    }
+
+    #[test]
+    fn stall_proof_narrows_domains_to_admissible_hulls() {
+        // The coreutils octal-mode shape: two digits in '0'..'7' cannot
+        // make `(in2 - 48) * 8 + (in3 - 48)` negative. Each literal is
+        // satisfiable alone; the product is visible only once both
+        // digit domains are narrowed to [48, 55].
+        let (mut a, v) = bytes(4);
+        let c48 = a.constant(48);
+        let c55 = a.constant(55);
+        let eight = a.constant(8);
+        let zero = a.constant(0);
+        let mut cs = ConstraintSet::new();
+        for d in [v[2], v[3]] {
+            cs.push(lit(a.bin(Op::Ge, d, c48), true));
+            cs.push(lit(a.bin(Op::Le, d, c55), true));
+        }
+        let hi = a.bin(Op::Sub, v[2], c48);
+        let lo = a.bin(Op::Sub, v[3], c48);
+        let scaled = a.bin(Op::Mul, hi, eight);
+        let mode = a.bin(Op::Add, scaled, lo);
+        cs.push(lit(a.bin(Op::Lt, mode, zero), true));
+        assert_stall_refuted(
+            &a,
+            &cs,
+            &[b'-' as i64, b'm' as i64, b'1' as i64, b'2' as i64],
+        );
+    }
+
+    #[test]
+    fn failed_stall_proof_leaves_the_search_unchanged() {
+        // A satisfiable set touching all three steps: digit bounds, a
+        // multi-variable sum the seed violates, and a byte literal. The
+        // sum needs digits near the top of their hulls, so a hull cut
+        // short would refute it falsely.
+        let (mut a, v) = bytes(3);
+        let c48 = a.constant(48);
+        let c57 = a.constant(57);
+        let c110 = a.constant(110);
+        let mut cs = ConstraintSet::new();
+        for d in [v[0], v[1]] {
+            cs.push(lit(a.bin(Op::Ge, d, c48), true));
+            cs.push(lit(a.bin(Op::Le, d, c57), true));
+        }
+        let sum = a.bin(Op::Add, v[0], v[1]);
+        cs.push(lit(a.bin(Op::Gt, sum, c110), true));
+        cs.push(lit(a.bin(Op::Eq, v[2], c48), false));
+        let mut search = Search::new(&a, &cs, a.var_infos().to_vec(), vec![48, 49, 48], None);
+        let before = (search.assign.clone(), search.sat.clone(), search.n_sat);
+        assert_eq!(search.seed_violated, vec![4, 5]);
+        assert!(!search.refutes(), "the set is satisfiable (e.g. 57, 57, 0)");
+        assert_eq!(
+            (search.assign.clone(), search.sat.clone(), search.n_sat),
+            before
+        );
+        search.recompute_all();
+        assert_eq!((search.assign, search.sat, search.n_sat), before);
     }
 
     #[test]
