@@ -23,7 +23,7 @@ use minic::CompiledProgram;
 use oskit::{Kernel, KernelConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use search::{Frontier, FrontierStats, SearchLimits, SearchPolicy};
+use search::{Frontier, FrontierStats, PrefixSigs, SearchLimits, SearchPolicy};
 use solver::{mix_seed, ConstraintSet, ExprArena, Lit, PrefixCache, SolveCfg, VarId};
 use std::collections::HashMap;
 
@@ -381,16 +381,11 @@ impl<'p> Engine<'p> {
             cache.register_path(arena, &reg_lits, &reg_ranges);
         }
         // A step contributes its range form when it has one, else its
-        // literal (branch condition or emission-time pin).
-        let push_prefix = |cs: &mut ConstraintSet, upto: usize| {
-            for i in 0..upto {
-                match ranges[i] {
-                    Some(rc) => cs.push_range(rc),
-                    None => cs.push(substituted[i]),
-                }
-            }
-        };
-        let seed_controllables: Vec<i64> = assignment[..vars.n_controllable as usize].to_vec();
+        // literal (branch condition or emission-time pin). Candidates are
+        // hashed from the path before any is built: only the few the
+        // frontier accepts pay for their O(depth) prefix copy.
+        let sigs = PrefixSigs::new(substituted.iter().copied().zip(ranges.iter().copied()));
+        let seed_controllables = &assignment[..vars.n_controllable as usize];
         frontier.begin_run();
         let order = self
             .cfg
@@ -412,10 +407,19 @@ impl<'p> Engine<'p> {
             if arena.support(substituted[i].expr).is_empty() {
                 continue;
             }
-            let mut cs = ConstraintSet::new();
-            push_prefix(&mut cs, i);
-            cs.push(substituted[i].negated());
-            frontier.offer(cs, seed_controllables.clone(), Some(bid.0));
+            let neg = substituted[i].negated();
+            let (sig, lits) = sigs.candidate(i, neg);
+            frontier.offer(sig, lits, Some(bid.0), || {
+                let mut cs = ConstraintSet::new();
+                for (lit, range) in substituted[..i].iter().zip(&ranges) {
+                    match range {
+                        Some(rc) => cs.push_range(*rc),
+                        None => cs.push(*lit),
+                    }
+                }
+                cs.push(neg);
+                (cs, seed_controllables.to_vec())
+            });
         }
         frontier.end_run();
     }
@@ -501,7 +505,7 @@ impl<'p> Engine<'p> {
                     seed: mix_seed(self.cfg.seed, solver_calls as u64),
                     ..self.cfg.solve.clone()
                 };
-                let sig = search::signature(&pending.cs);
+                let sig = pending.sig;
                 let (model, sstats) = solver::solve_or_pin_ro_cached(
                     &arena,
                     &pending.cs,
@@ -721,7 +725,7 @@ impl<'p> Engine<'p> {
                                 cache_misses += 1;
                             }
                             prefix_len_saved += sstats.prefix_lits_saved;
-                            let sig = search::signature(&pop.set.cs);
+                            let sig = pop.set.sig;
                             if sat {
                                 solver_sat += 1;
                                 frontier.note_solved_sig(sig, true);

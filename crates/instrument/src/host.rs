@@ -187,13 +187,16 @@ impl Host for LoggingHost {
             } else {
                 Vec::new()
             };
-            let cost = self.syscalls.push(SysRecord {
+            let rec = SysRecord {
                 sys,
                 ret: eff.ret,
                 flags,
-            });
+            };
+            // A running total: re-summing the whole log at every logged
+            // syscall made a long serve quadratic in its syscall count.
+            meter.syscall_log_bytes += rec.wire_bytes();
+            let cost = self.syscalls.push(rec);
             meter.charge_instrumentation(cost);
-            meter.syscall_log_bytes = self.syscalls.bytes();
             if self.plan.checkpoints {
                 if let BranchLogger::Cursors(l) = &self.log {
                     // Syscall-anchored cursor checkpoint: snapshot every
@@ -450,7 +453,49 @@ mod tests {
         let (_, host, meter) = run_with_plan(plan, b"a");
         assert_eq!(host.syscalls.len(), 1); // the sys_time call
         assert_eq!(host.syscalls.records[0].sys, Sys::Time);
-        assert!(meter.syscall_log_bytes > 0);
+        assert_eq!(meter.syscall_log_bytes, host.syscalls.bytes());
+
+        // Several logged calls, select's ready flags among them, between
+        // unlogged ones: the meter's running total must equal the size
+        // of the log that ships.
+        let src = r#"
+            int main(int argc, char **argv) {
+                int fds[3];
+                int ready[3];
+                fds[0] = 0;
+                fds[1] = 1;
+                fds[2] = 2;
+                for (int i = 0; i < 4; i++) {
+                    sys_select(fds, 3, ready);
+                    sys_getuid();
+                    sys_time();
+                }
+                sys_rand();
+                return 0;
+            }
+        "#;
+        let cp = build(&[("main", src)]).unwrap();
+        let plan = Plan {
+            log_syscalls: true,
+            ..Plan::none(cp.n_branches())
+        };
+        let host = LoggingHost::new(Kernel::new(KernelConfig::default()), plan);
+        let mut vm = Vm::new(&cp, host);
+        assert_eq!(vm.run(&[b"prog".to_vec()]), RunOutcome::Exited(0));
+        let log = &vm.host.syscalls;
+        let kinds: Vec<Sys> = log.records.iter().map(|r| r.sys).collect();
+        let round = [Sys::Select, Sys::Time];
+        assert_eq!(
+            kinds,
+            [&round[..], &round, &round, &round, &[Sys::Rand]].concat()
+        );
+        assert!(log
+            .records
+            .iter()
+            .filter(|r| r.sys == Sys::Select)
+            .all(|r| r.flags.len() == 3));
+        assert!(log.bytes() > 4 * (1 + 1 + 3), "flags and wide values count");
+        assert_eq!(vm.meter.syscall_log_bytes, log.bytes());
     }
 
     #[test]

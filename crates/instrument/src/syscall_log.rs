@@ -30,6 +30,13 @@ pub struct SysRecord {
     pub flags: Vec<i64>,
 }
 
+impl SysRecord {
+    /// Approximate wire size: one tag byte + varint-ish value + flags.
+    pub fn wire_bytes(&self) -> u64 {
+        1 + varint_len(self.ret) + self.flags.len() as u64
+    }
+}
+
 /// The shipped syscall-result log.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SyscallLog {
@@ -59,12 +66,10 @@ impl SyscallLog {
         self.records.is_empty()
     }
 
-    /// Approximate wire size: one tag byte + varint-ish value + flags.
+    /// Approximate wire size: the sum of the records'
+    /// [`SysRecord::wire_bytes`].
     pub fn bytes(&self) -> u64 {
-        self.records
-            .iter()
-            .map(|r| 1 + varint_len(r.ret) + r.flags.len() as u64)
-            .sum()
+        self.records.iter().map(SysRecord::wire_bytes).sum()
     }
 
     /// A sequential reader.

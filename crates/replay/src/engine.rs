@@ -28,7 +28,7 @@ use minic::memory::pack;
 use minic::vm::{RunOutcome, Vm};
 use minic::CompiledProgram;
 use oskit::SimFs;
-use search::{Frontier, FrontierStats, RepairTracker, SearchLimits, SearchPolicy};
+use search::{Frontier, FrontierStats, PrefixSigs, RepairTracker, SearchLimits, SearchPolicy};
 use solver::{mix_seed, ConstraintSet, ExprArena, Lit, Node, Op, PrefixCache, SolveCfg, VarId};
 use std::collections::{HashMap, HashSet};
 
@@ -247,7 +247,7 @@ impl<'p> ReplayEngine<'p> {
                 push_step(&mut repair, st);
             }
             repair.push(info.steps[s].lit.negated());
-            if frontier.offer_repair(repair, info.seed.clone()) {
+            if frontier.offer_repair(search::signature(&repair), repair, info.seed.clone()) {
                 if std::env::var("RETRACE_REPLAY_TRACE").is_ok() {
                     eprintln!("  repair offered: suspect at step {s} (attempt {attempt})");
                 }
@@ -427,6 +427,10 @@ impl<'p> ReplayEngine<'p> {
             cache.register_path(arena, &reg_lits, &reg_ranges);
         }
         frontier.begin_run();
+        // Every candidate below is a path prefix plus one negated
+        // literal: hash them all from one pass over the path, so the
+        // frontier can reject a candidate before it is built.
+        let sigs = PrefixSigs::new(path.iter().map(|s| (s.lit, s.range)));
 
         // Syscall-divergence recovery: the run followed the branch log
         // but issued the wrong syscall, so the most recent unlogged
@@ -450,12 +454,13 @@ impl<'p> ReplayEngine<'p> {
                     && !arena.support(lits[i].expr).is_empty()
             };
             let offer_flip = |frontier: &mut Frontier, d: usize| {
+                let neg = lits[d].negated();
                 let mut cs = ConstraintSet::new();
                 for st in &path[..d] {
                     push_step(&mut cs, st);
                 }
-                cs.push(lits[d].negated());
-                frontier.offer_priority(cs, assignment.to_vec(), true);
+                cs.push(neg);
+                frontier.offer_priority(sigs.candidate(d, neg).0, cs, assignment.to_vec(), true);
             };
             let recent = (0..lits.len()).rev().find(|&i| unlogged_sym(i));
             if let Some(d) = recent {
@@ -524,12 +529,16 @@ impl<'p> ReplayEngine<'p> {
             if arena.support(lits[i].expr).is_empty() {
                 continue;
             }
-            let mut cs = ConstraintSet::new();
-            for st in &path[..i] {
-                push_step(&mut cs, st);
-            }
-            cs.push(lits[i].negated());
-            frontier.offer(cs, assignment.to_vec(), Some(bid.0));
+            let neg = lits[i].negated();
+            let (sig, n_lits) = sigs.candidate(i, neg);
+            frontier.offer(sig, n_lits, Some(bid.0), || {
+                let mut cs = ConstraintSet::new();
+                for st in &path[..i] {
+                    push_step(&mut cs, st);
+                }
+                cs.push(neg);
+                (cs, assignment.to_vec())
+            });
         }
         frontier.end_run();
         // The branch-divergence forced set (whole path; for a 2(b)
@@ -596,7 +605,7 @@ impl<'p> ReplayEngine<'p> {
                 }
             }
             let cs_sig = search::signature(&cs);
-            frontier.offer_priority(cs, assignment.to_vec(), false);
+            frontier.offer_priority(cs_sig, cs, assignment.to_vec(), false);
             if let Some(info) = info_for_meta {
                 book.forced_meta.insert(cs_sig, info);
             }
@@ -679,7 +688,7 @@ impl<'p> ReplayEngine<'p> {
                         positive: true,
                     });
                 }
-                frontier.offer_priority(cs, assignment.to_vec(), true);
+                frontier.offer_priority(search::signature(&cs), cs, assignment.to_vec(), true);
                 offered += 1;
                 if offered >= 4 {
                     break 'lits;
@@ -892,7 +901,7 @@ impl<'p> ReplayEngine<'p> {
                     seed: mix_seed(self.cfg.seed, solver_calls as u64),
                     ..self.cfg.solve.clone()
                 };
-                let sig = search::signature(&pending.cs);
+                let sig = pending.sig;
                 let (model, sstats) = solver::solve_or_pin_ro_cached(
                     &arena,
                     &pending.cs,
@@ -1200,7 +1209,7 @@ impl<'p> ReplayEngine<'p> {
                                 cache_misses += 1;
                             }
                             prefix_len_saved += sstats.prefix_lits_saved;
-                            let sig = search::signature(&pop.set.cs);
+                            let sig = pop.set.sig;
                             if let Some(model) = model {
                                 frontier.note_solved_sig(sig, true);
                                 frontier.restore(pops.collect());

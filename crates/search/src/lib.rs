@@ -23,8 +23,12 @@
 //!
 //! ```text
 //! frontier.begin_run();
-//! frontier.offer_priority(..);     // forced / recovery sets, tried first
-//! while !frontier.run_full() { frontier.offer(..); }
+//! let sigs = PrefixSigs::new(path);  // one hashing pass over the run
+//! frontier.offer_priority(sig, ..);  // forced / recovery sets, tried first
+//! while !frontier.run_full() {
+//!     let (sig, lits) = sigs.candidate(i, negated_lit_i);
+//!     frontier.offer(sig, lits, branch, || build_set(i));
+//! }
 //! frontier.end_run();
 //! while let Some(p) = frontier.pop() { .. frontier.note_solved(sat); }
 //! ```
@@ -32,9 +36,15 @@
 //! Deduplication keys pending sets on a 128-bit hash of the full
 //! `(ExprRef, bool)` literal vector — wide enough that a collision (which
 //! would silently drop an unexplored path forever) is out of reach, unlike
-//! the 64-bit `DefaultHasher` digest it replaces.
+//! the 64-bit `DefaultHasher` digest it replaces. A standard candidate is
+//! hashed *before* it is built: [`PrefixSigs`] knows every candidate's
+//! signature after one pass over the run's path, and [`Frontier::offer`]
+//! calls the candidate's builder only once the depth cap, the dedup and
+//! the branch quota have all accepted it. Most offers are duplicates of
+//! sets an earlier run already banked, so most candidates are never
+//! built at all.
 
-use solver::{ConstraintSet, Fnv128};
+use solver::{ConstraintSet, Fnv128, Lit, RangeConstraint};
 use std::collections::{HashMap, HashSet};
 
 pub mod limits;
@@ -255,6 +265,10 @@ impl SearchPolicy {
 pub struct PendingSet {
     /// The constraint set to solve.
     pub cs: ConstraintSet,
+    /// The set's [`signature`], fixed when it was offered: the dedup
+    /// key, the promotion match and the committed verdict's identity,
+    /// so no later path re-hashes the set.
+    pub sig: u128,
     /// Seed assignment handed to the solver (usually the producing run's
     /// input).
     pub seed: Vec<i64>,
@@ -454,17 +468,63 @@ pub struct Frontier {
 pub fn signature(cs: &ConstraintSet) -> u128 {
     let mut h = Fnv128::new();
     for l in &cs.lits {
-        h.mix(l.expr.0 as u128);
-        h.mix(l.positive as u128);
+        h.mix_lit(l);
     }
     for r in &cs.ranges {
-        h.mix(0x5eed_0000_0000_0000u128 ^ r.expr.0 as u128);
-        h.mix(r.lo as u128);
-        h.mix(r.hi as u128);
-        h.mix(r.align as u128);
-        h.mix(r.phase as u128);
+        h.mix_range(r);
     }
     h.value()
+}
+
+/// The signatures of one run's candidate sets, known before any set is
+/// built.
+///
+/// A run's path is a sequence of steps, each contributing its range form
+/// when it has one and its literal otherwise; a candidate is a path
+/// prefix plus one appended literal (usually the next step's negation).
+/// One pass over the path records the running hash after each prefix's
+/// literals, so [`candidate`](Self::candidate) answers
+/// `signature(steps[..i] + lit)` with one literal mix — plus one range
+/// mix per range step in the prefix, because [`signature`] hashes the
+/// ranges after every literal. The values are byte-identical to
+/// [`signature`] of the built set: both go through [`Fnv128::mix_lit`]
+/// and [`Fnv128::mix_range`].
+#[derive(Debug)]
+pub struct PrefixSigs {
+    /// `lit_states[i]`: the hash after the literals of `steps[..i]`.
+    lit_states: Vec<Fnv128>,
+    /// The range steps as `(step index, constraint)`, in path order.
+    ranges: Vec<(usize, RangeConstraint)>,
+}
+
+impl PrefixSigs {
+    /// Hashes a path given as `(literal, range form)` steps.
+    pub fn new(steps: impl IntoIterator<Item = (Lit, Option<RangeConstraint>)>) -> Self {
+        let steps = steps.into_iter();
+        let mut lit_states = Vec::with_capacity(steps.size_hint().0 + 1);
+        let mut ranges = Vec::new();
+        let mut h = Fnv128::new();
+        lit_states.push(h);
+        for (i, (lit, range)) in steps.enumerate() {
+            match range {
+                Some(rc) => ranges.push((i, rc)),
+                None => h.mix_lit(&lit),
+            }
+            lit_states.push(h);
+        }
+        PrefixSigs { lit_states, ranges }
+    }
+
+    /// The signature and literal count of the set `steps[..i]` + `lit`.
+    pub fn candidate(&self, i: usize, lit: Lit) -> (u128, usize) {
+        let mut h = self.lit_states[i];
+        h.mix_lit(&lit);
+        let n_ranges = self.ranges.partition_point(|&(j, _)| j < i);
+        for (_, rc) in &self.ranges[..n_ranges] {
+            h.mix_range(rc);
+        }
+        (h.value(), i - n_ranges + 1)
+    }
 }
 
 impl Frontier {
@@ -503,10 +563,10 @@ impl Frontier {
         self.accepted_this_run >= self.max_per_run
     }
 
-    /// Cheap pre-check on a candidate's literal count, counted as a depth
-    /// skip. Engines call this BEFORE materializing the O(depth) prefix
-    /// constraint set, so too-deep candidates on long server paths cost
-    /// nothing (the cap exists to bound that quadratic copying).
+    /// Cheap pre-check on a candidate's step count (an upper bound on its
+    /// literal count), counted as a depth skip. Engines call this before
+    /// they look up the candidate's support or signature, so too-deep
+    /// candidates on long server paths cost nothing.
     pub fn depth_ok(&mut self, lits: usize) -> bool {
         if lits > self.max_lits {
             self.stats.skipped_depth += 1;
@@ -516,12 +576,22 @@ impl Frontier {
     }
 
     /// Offers a standard pending set (a path prefix with one negated
-    /// branch literal). Applies, in order: the literal cap, the
-    /// per-branch quota, and the full-vector dedup. Returns whether the
-    /// set was accepted.
-    pub fn offer(&mut self, cs: ConstraintSet, seed: Vec<i64>, branch: Option<u32>) -> bool {
+    /// branch literal) by its [`signature`] `sig` and literal count
+    /// `lits`, before the set exists. Applies, in order: the literal
+    /// cap, the full-vector dedup, and the per-branch quota. Only a
+    /// candidate that passes all three is built: `build` returns the set
+    /// and its solver seed, and runs exactly once per accepted offer, so
+    /// a rejected candidate costs a hash lookup instead of an O(depth)
+    /// prefix copy. Returns whether the set was accepted.
+    pub fn offer(
+        &mut self,
+        sig: u128,
+        lits: usize,
+        branch: Option<u32>,
+        build: impl FnOnce() -> (ConstraintSet, Vec<i64>),
+    ) -> bool {
         self.stats.offered += 1;
-        if cs.lits.len() > self.max_lits {
+        if lits > self.max_lits {
             self.stats.skipped_depth += 1;
             return false;
         }
@@ -529,7 +599,6 @@ impl Frontier {
         // the branch's budget for genuinely new candidates. A
         // quota-rejected set stays out of `seen` so a later run can
         // still schedule it.
-        let sig = signature(&cs);
         if self.seen.contains(&sig) {
             self.stats.skipped_duplicate += 1;
             return false;
@@ -544,12 +613,19 @@ impl Frontier {
                 *used += 1;
             }
         }
+        let (cs, seed) = build();
+        debug_assert_eq!(signature(&cs), sig, "offered signature is the built set's");
+        debug_assert_eq!(
+            cs.lits.len(),
+            lits,
+            "offered literal count is the built set's"
+        );
         self.seen.insert(sig);
-        let depth = cs.lits.len();
         self.run_buffer.push(PendingSet {
             cs,
+            sig,
             seed,
-            depth,
+            depth: lits,
             generation: self.generation,
         });
         self.accepted_this_run += 1;
@@ -557,24 +633,31 @@ impl Frontier {
         true
     }
 
-    /// Offers a forced-direction (2(b)) or recovery set onto the priority
-    /// lane: bypasses the run cap, literal cap and quota. A set that is
-    /// already *queued* (offered earlier as a standard pending set, not
-    /// yet solved) is promoted to the priority lane instead of being
-    /// dropped — the guided fix must not stay buried in the pool. Only a
-    /// set that was already popped (solved or being solved) is rejected.
-    pub fn offer_priority(&mut self, cs: ConstraintSet, seed: Vec<i64>, recovery: bool) -> bool {
-        let sig = signature(&cs);
+    /// Offers a forced-direction (2(b)) or recovery set `cs`, whose
+    /// [`signature`] is `sig`, onto the priority lane: bypasses the run
+    /// cap, literal cap and quota. A set that is already *queued*
+    /// (offered earlier as a standard pending set, not yet solved) is
+    /// promoted to the priority lane instead of being dropped — the
+    /// guided fix must not stay buried in the pool. Only a set that was
+    /// already popped (solved or being solved) is rejected.
+    pub fn offer_priority(
+        &mut self,
+        sig: u128,
+        cs: ConstraintSet,
+        seed: Vec<i64>,
+        recovery: bool,
+    ) -> bool {
+        debug_assert_eq!(signature(&cs), sig, "offered signature is the set's");
         if !self.seen.insert(sig) {
             let pooled = self
                 .entries
                 .iter()
-                .position(|e| signature(&e.cs) == sig)
+                .position(|e| e.sig == sig)
                 .map(|i| self.entries.remove(i))
                 .or_else(|| {
                     self.run_buffer
                         .iter()
-                        .position(|e| signature(&e.cs) == sig)
+                        .position(|e| e.sig == sig)
                         .map(|i| self.run_buffer.remove(i))
                 });
             let Some(mut entry) = pooled else {
@@ -596,6 +679,7 @@ impl Frontier {
         let depth = cs.lits.len();
         self.priority.push(PendingSet {
             cs,
+            sig,
             seed,
             depth,
             generation: self.generation,
@@ -764,8 +848,8 @@ impl Frontier {
     /// separately so the tables can report repair activations.
     ///
     /// [`offer_priority`]: Frontier::offer_priority
-    pub fn offer_repair(&mut self, cs: ConstraintSet, seed: Vec<i64>) -> bool {
-        let accepted = self.offer_priority(cs, seed, false);
+    pub fn offer_repair(&mut self, sig: u128, cs: ConstraintSet, seed: Vec<i64>) -> bool {
+        let accepted = self.offer_priority(sig, cs, seed, false);
         if accepted {
             self.stats.repairs_scheduled += 1;
         }
@@ -844,14 +928,43 @@ mod tests {
         Frontier::new(policy, 64, 4000)
     }
 
+    /// Offers of already-built sets, hashed here: the scheduling tests
+    /// below are about the frontier's decisions, not about who hashes.
+    trait OfferBuilt {
+        fn offer_set(&mut self, cs: ConstraintSet, seed: Vec<i64>, branch: Option<u32>) -> bool;
+        fn offer_priority_set(&mut self, cs: ConstraintSet, seed: Vec<i64>, recovery: bool)
+            -> bool;
+        fn offer_repair_set(&mut self, cs: ConstraintSet, seed: Vec<i64>) -> bool;
+    }
+
+    impl OfferBuilt for Frontier {
+        fn offer_set(&mut self, cs: ConstraintSet, seed: Vec<i64>, branch: Option<u32>) -> bool {
+            let (sig, lits) = (signature(&cs), cs.len());
+            self.offer(sig, lits, branch, || (cs, seed))
+        }
+
+        fn offer_priority_set(
+            &mut self,
+            cs: ConstraintSet,
+            seed: Vec<i64>,
+            recovery: bool,
+        ) -> bool {
+            self.offer_priority(signature(&cs), cs, seed, recovery)
+        }
+
+        fn offer_repair_set(&mut self, cs: ConstraintSet, seed: Vec<i64>) -> bool {
+            self.offer_repair(signature(&cs), cs, seed)
+        }
+    }
+
     #[test]
     fn deepest_first_pops_in_stack_order() {
         let mut f = frontier(SearchPolicy::default());
         f.begin_run();
         // Engine offers deepest-first: depth 3, then 2, then 1.
-        assert!(f.offer(set(&[1, 2, 3]), vec![], None));
-        assert!(f.offer(set(&[1, 2]), vec![], None));
-        assert!(f.offer(set(&[1]), vec![], None));
+        assert!(f.offer_set(set(&[1, 2, 3]), vec![], None));
+        assert!(f.offer_set(set(&[1, 2]), vec![], None));
+        assert!(f.offer_set(set(&[1]), vec![], None));
         f.end_run();
         assert_eq!(f.pop().unwrap().depth, 3, "deepest first");
         assert_eq!(f.pop().unwrap().depth, 2);
@@ -868,7 +981,7 @@ mod tests {
         f.begin_run();
         for d in (1..=4).rev() {
             let ids: Vec<u32> = (1..=d).collect();
-            assert!(f.offer(set(&ids), vec![], None));
+            assert!(f.offer_set(set(&ids), vec![], None));
         }
         f.end_run();
         assert_eq!(f.pop().unwrap().depth, 1, "first pop is shallowest");
@@ -881,9 +994,9 @@ mod tests {
     fn priority_lane_is_lifo_and_first() {
         let mut f = frontier(SearchPolicy::default());
         f.begin_run();
-        assert!(f.offer(set(&[1, 2, 3]), vec![], None));
-        assert!(f.offer_priority(set(&[4]), vec![], false));
-        assert!(f.offer_priority(set(&[5, 6]), vec![], true));
+        assert!(f.offer_set(set(&[1, 2, 3]), vec![], None));
+        assert!(f.offer_priority_set(set(&[4]), vec![], false));
+        assert!(f.offer_priority_set(set(&[5, 6]), vec![], true));
         f.end_run();
         assert_eq!(f.pop().unwrap().depth, 2, "newest priority set first");
         assert_eq!(f.pop().unwrap().depth, 1, "older priority set next");
@@ -896,10 +1009,13 @@ mod tests {
     fn duplicate_sets_are_rejected_across_lanes() {
         let mut f = frontier(SearchPolicy::default());
         f.begin_run();
-        assert!(f.offer_priority(set(&[1, 2]), vec![], true));
-        assert!(!f.offer(set(&[1, 2]), vec![], None), "dup of priority set");
+        assert!(f.offer_priority_set(set(&[1, 2]), vec![], true));
         assert!(
-            !f.offer_priority(set(&[1, 2]), vec![], true),
+            !f.offer_set(set(&[1, 2]), vec![], None),
+            "dup of priority set"
+        );
+        assert!(
+            !f.offer_priority_set(set(&[1, 2]), vec![], true),
             "already on the priority lane: nothing to promote"
         );
         assert_eq!(f.stats().skipped_duplicate, 2);
@@ -911,13 +1027,13 @@ mod tests {
         let mut f = frontier(SearchPolicy::default());
         // Run 1 queues two standard sets.
         f.begin_run();
-        assert!(f.offer(set(&[1, 2]), vec![7], None));
-        assert!(f.offer(set(&[3]), vec![], None));
+        assert!(f.offer_set(set(&[1, 2]), vec![7], None));
+        assert!(f.offer_set(set(&[3]), vec![], None));
         f.end_run();
         // Run 2's recovery set is byte-identical to the pooled [1, 2]:
         // it must jump to the priority lane, not be dropped.
         f.begin_run();
-        assert!(f.offer_priority(set(&[1, 2]), vec![9], true));
+        assert!(f.offer_priority_set(set(&[1, 2]), vec![9], true));
         f.end_run();
         assert_eq!(f.stats().recovery_sets, 1);
         let first = f.pop().unwrap();
@@ -929,6 +1045,120 @@ mod tests {
         );
         assert_eq!(f.pop().unwrap().depth, 1);
         assert!(f.pop().is_none(), "no duplicate left behind");
+    }
+
+    /// A stream of offers mixing every rejection kind: each candidate
+    /// is charged to the FIRST check it fails (depth cap, then dedup,
+    /// then branch quota), and the builder runs for accepted offers
+    /// only.
+    #[test]
+    fn offers_are_checked_in_order_and_built_only_on_acceptance() {
+        let mut f = Frontier::new(
+            SearchPolicy {
+                branch_quota: 1,
+                ..SearchPolicy::default()
+            },
+            64,
+            2,
+        );
+        let built = std::cell::Cell::new(0u64);
+        let offer = |f: &mut Frontier, ids: &[u32], branch: u32| {
+            let cs = set(ids);
+            let (sig, lits) = (signature(&cs), cs.len());
+            f.offer(sig, lits, Some(branch), || {
+                built.set(built.get() + 1);
+                (cs, vec![])
+            })
+        };
+        f.begin_run();
+        assert!(offer(&mut f, &[1], 7), "fresh: accepted");
+        assert!(!offer(&mut f, &[1, 2, 3], 8), "too deep");
+        assert!(!offer(&mut f, &[1], 8), "duplicate, other location");
+        assert!(!offer(&mut f, &[2], 7), "location 7 is at its quota");
+        assert!(
+            !offer(&mut f, &[1], 7),
+            "duplicate AND over quota: charged as a duplicate"
+        );
+        assert!(offer(&mut f, &[2, 1], 9), "fresh at a fresh location");
+        f.end_run();
+        f.begin_run();
+        // Depth comes first: an accepted signature offered over the cap
+        // is charged to depth, not to the dedup.
+        let seen = signature(&set(&[1]));
+        assert!(!f.offer(seen, 3, Some(7), || unreachable!("rejected")));
+        assert!(
+            offer(&mut f, &[2], 7),
+            "quota rejections are not remembered"
+        );
+        f.end_run();
+        let st = f.stats();
+        assert_eq!(st.offered, 8);
+        assert_eq!(st.skipped_depth, 2);
+        assert_eq!(st.skipped_duplicate, 2);
+        assert_eq!(st.skipped_quota, 1);
+        assert_eq!(st.scheduled, 3);
+        assert_eq!(
+            st.offered,
+            st.scheduled + st.skipped_depth + st.skipped_duplicate + st.skipped_quota,
+            "every offer is accepted or charged to exactly one check"
+        );
+        assert_eq!(built.get(), st.scheduled, "one build per accepted offer");
+        let sigs: Vec<u128> = std::iter::from_fn(|| f.pop()).map(|p| p.sig).collect();
+        // Stack order: run 2's set, then run 1's in offer order.
+        let want: Vec<u128> = [&[2][..], &[1], &[2, 1]]
+            .iter()
+            .map(|ids| signature(&set(ids)))
+            .collect();
+        assert_eq!(sigs, want, "each pending set carries its own signature");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        // Paths mixing literal and range steps: the signature a candidate
+        // is offered under must equal `signature()` of the set it builds,
+        // at every prefix length, for both polarities of the appended
+        // literal.
+        #[test]
+        fn prefix_signatures_match_built_sets(
+            steps in proptest::collection::vec(
+                (0u32..24, proptest::prelude::any::<bool>(), 0u8..3, -50i64..50),
+                0..24,
+            ),
+            extra in 0u32..24,
+        ) {
+            use solver::RangeConstraint;
+            let steps: Vec<(Lit, Option<RangeConstraint>)> = steps
+                .iter()
+                .map(|&(id, positive, kind, v)| {
+                    let lit = Lit { expr: ExprRef(id), positive };
+                    // One step in three carries a range form.
+                    let range = (kind == 0).then(|| RangeConstraint {
+                        expr: ExprRef(id),
+                        lo: v,
+                        hi: v + i64::from(id),
+                        align: i64::from(id % 4),
+                        phase: v % 3,
+                        observed: v,
+                    });
+                    (lit, range)
+                })
+                .collect();
+            let sigs = PrefixSigs::new(steps.iter().copied());
+            for i in 0..=steps.len() {
+                for positive in [false, true] {
+                    let lit = Lit { expr: ExprRef(extra), positive };
+                    let mut cs = ConstraintSet::new();
+                    for &(l, r) in &steps[..i] {
+                        match r {
+                            Some(rc) => cs.push_range(rc),
+                            None => cs.push(l),
+                        }
+                    }
+                    cs.push(lit);
+                    proptest::prop_assert_eq!(sigs.candidate(i, lit), (signature(&cs), cs.len()));
+                }
+            }
+        }
     }
 
     #[test]
@@ -967,15 +1197,21 @@ mod tests {
             4000,
         );
         f.begin_run();
-        assert!(f.offer(set(&[1]), vec![], Some(7)));
-        assert!(f.offer(set(&[2]), vec![], Some(7)));
-        assert!(!f.offer(set(&[3]), vec![], Some(7)), "quota of 2 reached");
-        assert!(f.offer(set(&[4]), vec![], Some(8)), "other location fine");
+        assert!(f.offer_set(set(&[1]), vec![], Some(7)));
+        assert!(f.offer_set(set(&[2]), vec![], Some(7)));
+        assert!(
+            !f.offer_set(set(&[3]), vec![], Some(7)),
+            "quota of 2 reached"
+        );
+        assert!(
+            f.offer_set(set(&[4]), vec![], Some(8)),
+            "other location fine"
+        );
         assert_eq!(f.stats().skipped_quota, 1);
         f.end_run();
         // Quota resets per run.
         f.begin_run();
-        assert!(f.offer(set(&[5]), vec![], Some(7)));
+        assert!(f.offer_set(set(&[5]), vec![], Some(7)));
     }
 
     #[test]
@@ -989,17 +1225,17 @@ mod tests {
             4000,
         );
         f.begin_run();
-        assert!(f.offer(set(&[1]), vec![], Some(7)));
-        assert!(f.offer(set(&[2]), vec![], Some(7)));
+        assert!(f.offer_set(set(&[1]), vec![], Some(7)));
+        assert!(f.offer_set(set(&[2]), vec![], Some(7)));
         f.end_run();
         // Next run re-offers the same two sets (common: deep prefixes
         // recur across runs) — rejected as duplicates, but the quota must
         // stay unspent so a novel negation at the location still fits.
         f.begin_run();
-        assert!(!f.offer(set(&[1]), vec![], Some(7)));
-        assert!(!f.offer(set(&[2]), vec![], Some(7)));
+        assert!(!f.offer_set(set(&[1]), vec![], Some(7)));
+        assert!(!f.offer_set(set(&[2]), vec![], Some(7)));
         assert!(
-            f.offer(set(&[3]), vec![], Some(7)),
+            f.offer_set(set(&[3]), vec![], Some(7)),
             "novel candidate must not be starved by duplicate offers"
         );
         assert_eq!(f.stats().skipped_duplicate, 2);
@@ -1017,12 +1253,12 @@ mod tests {
             4000,
         );
         f.begin_run();
-        assert!(f.offer(set(&[1]), vec![], Some(7)));
-        assert!(!f.offer(set(&[2]), vec![], Some(7)), "over quota");
+        assert!(f.offer_set(set(&[1]), vec![], Some(7)));
+        assert!(!f.offer_set(set(&[2]), vec![], Some(7)), "over quota");
         f.end_run();
         f.begin_run();
         assert!(
-            f.offer(set(&[2]), vec![], Some(7)),
+            f.offer_set(set(&[2]), vec![], Some(7)),
             "a quota-rejected set is not remembered as seen"
         );
     }
@@ -1031,11 +1267,11 @@ mod tests {
     fn run_cap_and_literal_cap_apply() {
         let mut f = Frontier::new(SearchPolicy::default(), 2, 3);
         f.begin_run();
-        assert!(!f.offer(set(&[1, 2, 3, 4]), vec![], None), "too deep");
+        assert!(!f.offer_set(set(&[1, 2, 3, 4]), vec![], None), "too deep");
         assert_eq!(f.stats().skipped_depth, 1);
-        assert!(f.offer(set(&[1]), vec![], None));
+        assert!(f.offer_set(set(&[1]), vec![], None));
         assert!(!f.run_full());
-        assert!(f.offer(set(&[2]), vec![], None));
+        assert!(f.offer_set(set(&[2]), vec![], None));
         assert!(f.run_full(), "cap of 2 reached");
     }
 
@@ -1044,7 +1280,7 @@ mod tests {
         let mut f = frontier(SearchPolicy::explorer());
         assert!(!f.ever_scheduled());
         f.begin_run();
-        assert!(f.offer(set(&[1]), vec![], None));
+        assert!(f.offer_set(set(&[1]), vec![], None));
         assert!(f.ever_scheduled());
         f.note_restart();
         assert_eq!(f.stats().restarts, 1);
@@ -1138,13 +1374,13 @@ mod tests {
     fn offer_repair_lands_on_priority_lane_and_counts() {
         let mut f = frontier(SearchPolicy::default());
         f.begin_run();
-        assert!(f.offer(set(&[1, 2, 3]), vec![], None));
+        assert!(f.offer_set(set(&[1, 2, 3]), vec![], None));
         f.end_run();
-        assert!(f.offer_repair(set(&[1, 9]), vec![5]));
+        assert!(f.offer_repair_set(set(&[1, 9]), vec![5]));
         assert_eq!(f.stats().repairs_scheduled, 1);
         assert_eq!(f.pop().unwrap().depth, 2, "repair tried first");
         assert!(
-            !f.offer_repair(set(&[1, 9]), vec![5]),
+            !f.offer_repair_set(set(&[1, 9]), vec![5]),
             "duplicate repair rejected"
         );
         assert_eq!(f.stats().repairs_scheduled, 1);
@@ -1175,9 +1411,9 @@ mod tests {
             f.begin_run();
             for d in (1..=5).rev() {
                 let ids: Vec<u32> = (1..=d).collect();
-                assert!(f.offer(set(&ids), vec![], None));
+                assert!(f.offer_set(set(&ids), vec![], None));
             }
-            assert!(f.offer_priority(set(&[9]), vec![], false));
+            assert!(f.offer_priority_set(set(&[9]), vec![], false));
             f.end_run();
         };
         let mut serial = frontier(policy.clone());
@@ -1234,9 +1470,9 @@ mod tests {
     fn pop_accounting_balances() {
         let mut f = frontier(SearchPolicy::default());
         f.begin_run();
-        assert!(f.offer(set(&[1, 2, 3]), vec![], None));
-        assert!(f.offer(set(&[1, 2]), vec![], None));
-        assert!(f.offer(set(&[1]), vec![], None));
+        assert!(f.offer_set(set(&[1, 2, 3]), vec![], None));
+        assert!(f.offer_set(set(&[1, 2]), vec![], None));
+        assert!(f.offer_set(set(&[1]), vec![], None));
         f.end_run();
         let mut batch = f.pop_batch(8);
         assert_eq!(batch.len(), 3, "batch drains the pool");

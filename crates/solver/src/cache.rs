@@ -72,6 +72,24 @@ impl Fnv128 {
         self.0 = self.0.wrapping_mul(FNV128_PRIME);
     }
 
+    /// Mixes one literal: its expression id, then its polarity. The
+    /// literal part of `search::signature`, word for word.
+    pub fn mix_lit(&mut self, l: &Lit) {
+        self.mix(l.expr.0 as u128);
+        self.mix(l.positive as u128);
+    }
+
+    /// Mixes one range constraint's full shape. `observed` is a hint,
+    /// not an identity (and propagation never reads it), so it stays
+    /// out of the hash.
+    pub fn mix_range(&mut self, rc: &RangeConstraint) {
+        self.mix(0x5eed_0000_0000_0000u128 ^ rc.expr.0 as u128);
+        self.mix(rc.lo as u128);
+        self.mix(rc.hi as u128);
+        self.mix(rc.align as u128);
+        self.mix(rc.phase as u128);
+    }
+
     /// The current hash value.
     pub fn value(&self) -> u128 {
         self.0
@@ -109,24 +127,6 @@ pub struct PrefixCache {
     generation: u64,
     /// Executed paths registered so far.
     paths_registered: u64,
-}
-
-/// Mixes one literal into a running prefix signature (the literal part
-/// of `search::signature`'s mixing, word for word).
-fn mix_lit(h: &mut Fnv128, l: &Lit) {
-    h.mix(l.expr.0 as u128);
-    h.mix(l.positive as u128);
-}
-
-/// Mixes one range constraint into a running signature (matching
-/// `search::signature`'s range mixing; `observed` is a hint, not an
-/// identity, and propagation never reads it).
-fn mix_range(h: &mut Fnv128, rc: &RangeConstraint) {
-    h.mix(0x5eed_0000_0000_0000u128 ^ rc.expr.0 as u128);
-    h.mix(rc.lo as u128);
-    h.mix(rc.hi as u128);
-    h.mix(rc.align as u128);
-    h.mix(rc.phase as u128);
 }
 
 impl PrefixCache {
@@ -170,7 +170,7 @@ impl PrefixCache {
         self.paths_registered += 1;
         let mut h = Fnv128::new();
         for l in lits {
-            mix_lit(&mut h, l);
+            h.mix_lit(l);
             self.sat_prefixes.insert(h.value());
             self.expr_ranges
                 .entry(l.expr)
@@ -183,7 +183,7 @@ impl PrefixCache {
         let mut rh = Fnv128::new();
         let mut prefix = ConstraintSet::new();
         for rc in ranges.iter().take(MAX_RANGE_PREFIXES) {
-            mix_range(&mut rh, rc);
+            rh.mix_range(rc);
             prefix.push_range(*rc);
             let sig = rh.value();
             if self.range_states.contains_key(&sig) {
@@ -214,7 +214,7 @@ impl PrefixCache {
         let mut h = Fnv128::new();
         let mut best = 0;
         for (i, l) in lits.iter().enumerate() {
-            mix_lit(&mut h, l);
+            h.mix_lit(l);
             // Registered prefixes are closed under prefix (they are
             // inserted incrementally), so the first miss ends the walk.
             if !self.sat_prefixes.contains(&h.value()) {
@@ -249,7 +249,7 @@ impl PrefixCache {
         }
         let mut rh = Fnv128::new();
         for rc in ranges {
-            mix_range(&mut rh, rc);
+            rh.mix_range(rc);
         }
         let deltas = self.range_states.get(&rh.value())?;
         let mut dom = arena.var_infos().to_vec();
