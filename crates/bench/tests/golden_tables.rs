@@ -13,10 +13,10 @@
 //! ```
 
 use instrument::Method;
-use retrace_bench::experiments::{analyze_coverages, userver_analysis_bench};
+use retrace_bench::experiments::{analyze_coverages, six_configs, userver_analysis_bench};
 use retrace_bench::fixtures::{check_golden, exp1_replay_table, guarded_crash_table, Knobs};
 use retrace_bench::render;
-use retrace_bench::setup::{fib, Coverage};
+use retrace_bench::setup::{fib, userver_load, Coverage};
 
 /// Pure rendering shape: alignment, rule, header — no experiment values.
 #[test]
@@ -112,4 +112,68 @@ fn userver_exp1_replay_table_matches_golden() {
 #[test]
 fn guarded_crash_replay_table_matches_golden() {
     check_golden("guarded_replay.txt", &guarded_crash_table(Knobs::default()));
+}
+
+/// Figure 4's user-site meters: the uninstrumented serve and the six
+/// logged configurations of `fig4_userver_overhead` (60 requests, seed
+/// 7; labels from the standard seed-42 analysis). Every column is a
+/// deterministic count — cost units, VM instructions and branches, the
+/// instrumentation share, logged executions, log and syscall-log bytes,
+/// the cursor spend and completed requests — the inputs of Fig. 4's CPU
+/// and storage bars. The CPU percentage itself is left out: it is a
+/// ratio of the pinned `units` columns.
+#[test]
+fn userver_overhead_table_matches_golden() {
+    let abench = userver_analysis_bench(42);
+    let bundles = analyze_coverages(&abench.wb);
+    let exp = userver_load(60, 7);
+    let (_, base, _) = exp.wb.baseline_run(&exp.parts);
+    let mut rows = vec![vec![
+        "uninstrumented".to_string(),
+        base.units.to_string(),
+        base.instrs.to_string(),
+        base.branches.to_string(),
+        base.instrumentation_units.to_string(),
+        "0".into(),
+        "0".into(),
+        base.syscall_log_bytes.to_string(),
+        "0".into(),
+        "-".into(),
+    ]];
+    for (name, method, cov) in six_configs() {
+        let bundle = match cov {
+            Coverage::Lc => &bundles.lc,
+            Coverage::Hc => &bundles.hc,
+        };
+        let run = exp.wb.logged_run(&exp.wb.plan(method, bundle), &exp.parts);
+        rows.push(vec![
+            name,
+            run.meter.units.to_string(),
+            run.meter.instrs.to_string(),
+            run.meter.branches.to_string(),
+            run.meter.instrumentation_units.to_string(),
+            run.instrumented_execs.to_string(),
+            run.log_bits.div_ceil(8).to_string(),
+            run.syscall_log_bytes.to_string(),
+            run.cursor_spend_units.to_string(),
+            run.requests.to_string(),
+        ]);
+    }
+    let t = render::table(
+        "uServer: Figure 4 user-site meters (60 requests, seed 7)",
+        &[
+            "config",
+            "units",
+            "instrs",
+            "branches",
+            "instr units",
+            "logged execs",
+            "log bytes",
+            "syscall log",
+            "cursor spend",
+            "requests",
+        ],
+        &rows,
+    );
+    check_golden("userver_overhead.txt", &t);
 }

@@ -243,7 +243,11 @@ impl<'t> TraceCursor<'t> {
 /// columns of the tables stay honest about what the format costs.
 #[derive(Debug, Clone)]
 pub struct CursorLog {
-    streams: BTreeMap<u32, BitLog>,
+    /// Stream of each location, indexed by location id; `None` until the
+    /// location records its first bit.
+    streams: Vec<Option<BitLog>>,
+    /// Locations whose stream exists.
+    n_streams: usize,
     n_bits: u64,
     buffered_bits: usize,
     flushes: u64,
@@ -266,7 +270,8 @@ impl CursorLog {
     /// Creates a cursor log with a custom flush-buffer size.
     pub fn with_buffer_size(buffer_bytes: usize) -> Self {
         CursorLog {
-            streams: BTreeMap::new(),
+            streams: Vec::new(),
+            n_streams: 0,
             n_bits: 0,
             buffered_bits: 0,
             flushes: 0,
@@ -279,12 +284,16 @@ impl CursorLog {
     /// cost units charged (flat per-bit cost + cursor indirection, plus
     /// the flush amortization when the shared buffer fills).
     pub fn push(&mut self, loc: u32, taken: bool) -> u64 {
-        let stream = self
-            .streams
-            .entry(loc)
+        let i = loc as usize;
+        if i >= self.streams.len() {
+            self.streams.resize_with(i + 1, || None);
+        }
+        let stream = self.streams[i].get_or_insert_with(|| {
+            self.n_streams += 1;
             // Per-stream BitLogs never flush on their own: the shared
             // buffer below owns the flush cadence.
-            .or_insert_with(|| BitLog::with_buffer_size(usize::MAX));
+            BitLog::with_buffer_size(usize::MAX)
+        });
         let _ = stream.push(taken);
         self.n_bits += 1;
         self.buffered_bits += 1;
@@ -315,7 +324,7 @@ impl CursorLog {
 
     /// Branch locations with at least one recorded bit.
     pub fn n_locations(&self) -> usize {
-        self.streams.len()
+        self.n_streams
     }
 
     /// Extra instrumentation units spent on cursor maintenance (the
@@ -328,21 +337,29 @@ impl CursorLog {
     /// a checkpointing plan records at each logged syscall boundary
     /// (the syscall-anchored cursor checkpoint escalation rule).
     pub fn positions(&self) -> Vec<(u32, u64)> {
-        self.streams.iter().map(|(l, s)| (*l, s.len())).collect()
+        let mut out = Vec::with_capacity(self.n_streams);
+        for (loc, s) in self.streams.iter().enumerate() {
+            if let Some(s) = s {
+                out.push((loc as u32, s.len()));
+            }
+        }
+        out
     }
 
     /// Finalizes into an immutable, shippable cursor trace.
     pub fn finish(self) -> CursorTrace {
-        CursorTrace {
-            streams: self
-                .streams
-                .into_iter()
-                .map(|(loc, log)| LocStream {
-                    loc,
+        // Exact capacity: a fleet holds tens of thousands of finished
+        // traces, so none may keep the dense table's allocation.
+        let mut streams = Vec::with_capacity(self.n_streams);
+        for (loc, log) in self.streams.into_iter().enumerate() {
+            if let Some(log) = log {
+                streams.push(LocStream {
+                    loc: loc as u32,
                     bits: log.finish(),
-                })
-                .collect(),
+                });
+            }
         }
+        CursorTrace { streams }
     }
 }
 

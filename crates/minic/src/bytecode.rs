@@ -14,7 +14,7 @@ use crate::span::{Loc, Span};
 use crate::types::*;
 
 /// A bytecode instruction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instr {
     /// Push a constant.
     Const(i64),

@@ -10,7 +10,7 @@
 //! detected on every access and surface as crashes ("SEGV" in the paper's
 //! terms) rather than undefined behaviour.
 
-use crate::types::{GlobalId, StrId};
+use crate::types::{FuncId, GlobalId, StrId};
 use std::fmt;
 
 /// Identifier of a memory object. `0` is reserved for the null pointer.
@@ -39,8 +39,8 @@ pub enum ObjKind {
     Global(GlobalId),
     /// Read-only string literal data.
     Rodata(StrId),
-    /// A function stack frame.
-    Frame { func: String },
+    /// A stack frame of the function.
+    Frame(FuncId),
     /// A heap allocation from `malloc`.
     Heap,
     /// Environment-provided data (argv strings, workload buffers).
@@ -132,11 +132,18 @@ impl<V: Clone + Default> Memory<V> {
 
     /// Allocates a zeroed object of `size` cells.
     pub fn alloc(&mut self, kind: ObjKind, size: usize) -> ObjId {
+        self.alloc_init(kind, vec![0; size])
+    }
+
+    /// Allocates an object holding `cells`, with default shadows. This is
+    /// how the loader fills rodata, which no store may write afterwards.
+    pub fn alloc_init(&mut self, kind: ObjKind, cells: Vec<i64>) -> ObjId {
+        let size = cells.len();
         let read_only = matches!(kind, ObjKind::Rodata(_));
         let id = ObjId(self.objects.len() as u32);
         self.objects.push(Object {
             kind,
-            cells: vec![0; size],
+            cells,
             shadow: vec![V::default(); size],
             alive: true,
             read_only,
@@ -165,67 +172,61 @@ impl<V: Clone + Default> Memory<V> {
         Ok(())
     }
 
-    fn object(&self, obj: ObjId) -> Result<&Object<V>, MemFault> {
+    /// Why an access at `(obj, off)` faults, checked in order: null,
+    /// nonexistent object, freed object, then (for stores) read-only and
+    /// finally the bounds. Called only once the fast path has failed.
+    #[cold]
+    fn fault(&self, obj: ObjId, off: u32, store: bool) -> MemFault {
         if obj == ObjId::NULL {
-            return Err(MemFault::NullDeref);
+            return MemFault::NullDeref;
         }
-        let o = self
-            .objects
-            .get(obj.0 as usize)
-            .ok_or(MemFault::BadObject)?;
+        let Some(o) = self.objects.get(obj.0 as usize) else {
+            return MemFault::BadObject;
+        };
         if !o.alive {
-            return Err(MemFault::UseAfterFree);
+            MemFault::UseAfterFree
+        } else if store && o.read_only {
+            MemFault::ReadOnly
+        } else {
+            MemFault::OutOfBounds {
+                obj: obj.0,
+                off,
+                size: o.cells.len(),
+            }
         }
-        Ok(o)
-    }
-
-    fn object_mut(&mut self, obj: ObjId) -> Result<&mut Object<V>, MemFault> {
-        if obj == ObjId::NULL {
-            return Err(MemFault::NullDeref);
-        }
-        let o = self
-            .objects
-            .get_mut(obj.0 as usize)
-            .ok_or(MemFault::BadObject)?;
-        if !o.alive {
-            return Err(MemFault::UseAfterFree);
-        }
-        Ok(o)
     }
 
     /// Loads the cell at a packed address.
+    ///
+    /// A live, in-bounds access returns after one lookup. (The null
+    /// object is never live, so null reads take the fault path too.)
+    #[inline]
     pub fn load(&self, addr: i64) -> Result<(i64, &V), MemFault> {
         let (obj, off) = unpack(addr);
-        let o = self.object(obj)?;
-        let i = off as usize;
-        if i >= o.cells.len() {
-            return Err(MemFault::OutOfBounds {
-                obj: obj.0,
-                off,
-                size: o.cells.len(),
-            });
+        if let Some(o) = self.objects.get(obj.0 as usize) {
+            if o.alive {
+                if let Some(&v) = o.cells.get(off as usize) {
+                    return Ok((v, &o.shadow[off as usize]));
+                }
+            }
         }
-        Ok((o.cells[i], &o.shadow[i]))
+        Err(self.fault(obj, off, false))
     }
 
     /// Stores a value and shadow at a packed address.
+    #[inline]
     pub fn store(&mut self, addr: i64, val: i64, shadow: V) -> Result<(), MemFault> {
         let (obj, off) = unpack(addr);
-        let o = self.object_mut(obj)?;
-        if o.read_only {
-            return Err(MemFault::ReadOnly);
+        if let Some(o) = self.objects.get_mut(obj.0 as usize) {
+            if o.alive && !o.read_only {
+                if let Some(cell) = o.cells.get_mut(off as usize) {
+                    *cell = val;
+                    o.shadow[off as usize] = shadow;
+                    return Ok(());
+                }
+            }
         }
-        let i = off as usize;
-        if i >= o.cells.len() {
-            return Err(MemFault::OutOfBounds {
-                obj: obj.0,
-                off,
-                size: o.cells.len(),
-            });
-        }
-        o.cells[i] = val;
-        o.shadow[i] = shadow;
-        Ok(())
+        Err(self.fault(obj, off, true))
     }
 
     /// Reads `n` byte-cells starting at `addr` (used for syscall buffers).
@@ -261,34 +262,18 @@ impl<V: Clone + Default> Memory<V> {
     }
 
     /// Sets the shadow of one cell without touching the concrete value.
+    /// Unlike [`store`](Memory::store), rodata is not refused.
     pub fn set_shadow(&mut self, addr: i64, shadow: V) -> Result<(), MemFault> {
         let (obj, off) = unpack(addr);
-        let o = self.object_mut(obj)?;
-        let i = off as usize;
-        if i >= o.shadow.len() {
-            return Err(MemFault::OutOfBounds {
-                obj: obj.0,
-                off,
-                size: o.cells.len(),
-            });
+        if let Some(o) = self.objects.get_mut(obj.0 as usize) {
+            if o.alive {
+                if let Some(sh) = o.shadow.get_mut(off as usize) {
+                    *sh = shadow;
+                    return Ok(());
+                }
+            }
         }
-        o.shadow[i] = shadow;
-        Ok(())
-    }
-
-    /// Loader-only store that bypasses read-only protection (used to fill
-    /// rodata objects before execution starts).
-    pub fn store_raw(&mut self, obj: ObjId, off: usize, v: i64) -> Result<(), MemFault> {
-        let o = self.object_mut(obj)?;
-        if off >= o.cells.len() {
-            return Err(MemFault::OutOfBounds {
-                obj: obj.0,
-                off: off as u32,
-                size: o.cells.len(),
-            });
-        }
-        o.cells[off] = v;
-        Ok(())
+        Err(self.fault(obj, off, false))
     }
 
     /// Marks an object dead without the heap-object checks of [`free`],

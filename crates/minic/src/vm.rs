@@ -14,7 +14,7 @@
 //! and may stop the run at any point ([`HostStop`]).
 
 use crate::ast::{BinOp, BranchId, UnOp};
-use crate::bytecode::{CompiledProgram, Instr};
+use crate::bytecode::{CompiledFunc, CompiledProgram, Instr};
 use crate::check::InitCell;
 use crate::cost::{op_cost, Meter};
 use crate::eval;
@@ -242,6 +242,11 @@ impl Host for NullHost {
     }
 }
 
+/// The cells of a NUL-terminated byte string object.
+fn cstr_cells(bytes: &[u8]) -> Vec<i64> {
+    bytes.iter().map(|&b| b as i64).chain([0]).collect()
+}
+
 struct Frame {
     obj: ObjId,
     ret_func: FuncId,
@@ -275,6 +280,9 @@ pub struct Vm<'p, H: Host> {
     str_objs: Vec<ObjId>,
     argv_objs: Vec<ObjId>,
     cur_func: FuncId,
+    /// Index of the next instruction in `cur_func`. The dispatch loop
+    /// keeps it in a local and writes it back whenever anything may read
+    /// it: at every exit and before every builtin.
     pc: usize,
 }
 
@@ -331,71 +339,49 @@ impl<'p, H: Host> Vm<'p, H> {
     }
 
     fn setup(&mut self, argv: &[Vec<u8>]) {
+        let prog = &self.cp.prog;
         // Globals.
-        for (i, g) in self.cp.prog.globals.iter().enumerate() {
+        for (i, g) in prog.globals.iter().enumerate() {
             let obj = self
                 .mem
                 .alloc(ObjKind::Global(crate::types::GlobalId(i as u32)), g.size);
             self.global_objs.push(obj);
         }
-        // Rodata strings.
-        for (i, s) in self.cp.prog.strings.iter().enumerate() {
+        // Rodata strings, filled as they are allocated (the trailing NUL
+        // is the last cell).
+        for (i, s) in prog.strings.iter().enumerate() {
             let obj = self
                 .mem
-                .alloc(ObjKind::Rodata(StrId(i as u32)), s.len() + 1);
+                .alloc_init(ObjKind::Rodata(StrId(i as u32)), cstr_cells(s));
             self.str_objs.push(obj);
         }
         // Globals' initializers may reference rodata, so fill after interning.
-        for (i, g) in self.cp.prog.globals.iter().enumerate() {
+        for (i, g) in prog.globals.iter().enumerate() {
             let obj = self.global_objs[i];
             for (off, cell) in g.init.iter().enumerate() {
                 let v = match cell {
                     InitCell::Int(v) => *v,
                     InitCell::Str(sid) => pack(self.str_objs[sid.0 as usize], 0),
                 };
-                self.poke(obj, off, v);
+                self.mem
+                    .store(pack(obj, off as u32), v, H::V::default())
+                    .expect("global initializers fit their object");
             }
-        }
-        for (i, s) in self.cp.prog.strings.clone().iter().enumerate() {
-            let obj = self.str_objs[i];
-            for (off, b) in s.iter().enumerate() {
-                self.poke(obj, off, *b as i64);
-            }
-            // Trailing NUL is already zero.
         }
         // argv objects.
         for a in argv {
-            let obj = self.mem.alloc(ObjKind::External, a.len() + 1);
-            for (off, b) in a.iter().enumerate() {
-                self.poke(obj, off, *b as i64);
-            }
+            let obj = self.mem.alloc_init(ObjKind::External, cstr_cells(a));
             self.argv_objs.push(obj);
-        }
-    }
-
-    /// Writes a cell bypassing read-only protection (loader only).
-    fn poke(&mut self, obj: ObjId, off: usize, v: i64) {
-        // Rodata is written once here, before execution starts.
-        let addr = pack(obj, off as u32);
-        if self.mem.store(addr, v, H::V::default()).is_err() {
-            self.mem
-                .store_raw(obj, off, v)
-                .expect("loader writes are in-bounds");
         }
     }
 
     fn push_entry_frame(&mut self, main: FuncId, argc: usize) {
         let f = &self.cp.funcs[main.0 as usize];
-        let obj = self.mem.alloc(
-            ObjKind::Frame {
-                func: f.name.clone(),
-            },
-            f.frame_cells.max(1),
-        );
+        let obj = self.mem.alloc(ObjKind::Frame(main), f.frame_cells.max(1));
         if f.n_params == 2 {
             // argv array object: argc pointers.
             let argv_arr = self.mem.alloc(ObjKind::External, argc.max(1));
-            for (i, o) in self.argv_objs.clone().iter().enumerate() {
+            for (i, o) in self.argv_objs.iter().enumerate() {
                 let addr = pack(argv_arr, i as u32);
                 self.mem
                     .store(addr, pack(*o, 0), H::V::default())
@@ -418,6 +404,8 @@ impl<'p, H: Host> Vm<'p, H> {
         self.pc = 0;
     }
 
+    /// The crash site: the location at the *post-increment* `pc`, which
+    /// every recorded report (and so every golden crash site) pins.
     fn cur_loc(&self) -> Loc {
         let f = &self.cp.funcs[self.cur_func.0 as usize];
         f.locs
@@ -441,7 +429,94 @@ impl<'p, H: Host> Vm<'p, H> {
         }
     }
 
+    /// The loop-top bookkeeping of the instruction at `pc`, shared by the
+    /// loop and by every fused arm: the fuel check and decrement,
+    /// `meter.instrs`, the watch hook, then the `pc` advance. Returns the
+    /// instruction, or the outcome that ends the run before it executes
+    /// (with `pc` written back, still on that instruction).
+    #[inline(always)]
+    fn step(&mut self, func: &CompiledFunc, pc: &mut usize) -> Result<Instr, RunOutcome> {
+        if self.fuel == 0 {
+            self.pc = *pc;
+            return Err(RunOutcome::OutOfFuel);
+        }
+        self.fuel -= 1;
+        self.meter.instrs += 1;
+        let instr = func.code[*pc];
+        if let Some(w) = self.watch_loc {
+            let loc = func.locs[*pc];
+            if loc == w {
+                if let Err(stop) = self.host.on_watch_loc(loc) {
+                    self.pc = *pc;
+                    return Err(self.stop(stop));
+                }
+            }
+        }
+        *pc += 1;
+        Ok(instr)
+    }
+
+    /// The instruction at `pc` when an arm may run it in place as its
+    /// fused successor: the loop top would reach it without stopping
+    /// (fuel remains and it is not on [`Vm::watch_loc`]), so its
+    /// [`step`](Vm::step) cannot end the run.
+    #[inline(always)]
+    fn fusable_next(&self, func: &CompiledFunc, pc: usize) -> Option<Instr> {
+        if self.fuel == 0 || self.watch_loc.is_some_and(|w| func.locs[pc] == w) {
+            return None;
+        }
+        func.code.get(pc).copied()
+    }
+
+    /// `Load`: pushes the cell at `addr`.
+    #[inline(always)]
+    fn exec_load(&mut self, addr: i64) -> Result<(), MemFault> {
+        self.meter.charge(op_cost::MEM);
+        let (v, sh) = self.mem.load(addr)?;
+        let sh = sh.clone();
+        self.stack.push((v, sh));
+        Ok(())
+    }
+
+    /// `Bin(op)`: pushes `a op b`.
+    #[inline(always)]
+    fn exec_bin(
+        &mut self,
+        op: BinOp,
+        (a, sha): (i64, H::V),
+        (b, shb): (i64, H::V),
+    ) -> Result<(), CrashKind> {
+        self.meter.charge(op_cost::ALU);
+        let out = eval::binop(op, a, b).map_err(|_| CrashKind::DivByZero)?;
+        let sh = self.host.shadow_binop(op, (a, &sha), (b, &shb), out);
+        self.stack.push((out, sh));
+        Ok(())
+    }
+
+    /// The interpreter loop.
+    ///
+    /// The running function and its frame object live in locals,
+    /// re-fetched only at `Call` and `Ret`, and so does `pc`, written back
+    /// to the VM on every exit and before every builtin. Two hot pairs are
+    /// fused: an `AddrLocal` followed by a `Load`, and a `Const` followed
+    /// by a `Bin`, run the successor in place without materializing the
+    /// intermediate stack slot. A fused successor still goes through
+    /// [`step`](Vm::step) and shares its semantics (`exec_load`,
+    /// `exec_bin`) with its own arm, so fuel, meters, host callbacks and
+    /// crash sites are exactly those of the unfused sequence.
     fn dispatch(&mut self) -> RunOutcome {
+        let cp = self.cp;
+        let mut func = &cp.funcs[self.cur_func.0 as usize];
+        let mut frame_obj = self.frames.last().map_or(ObjId::NULL, |f| f.obj);
+        let mut pc = self.pc;
+        // Every exit stores `pc` back first: crash sites and `resume`
+        // read it.
+        macro_rules! leave {
+            ($e:expr) => {{
+                self.pc = pc;
+                return $e;
+            }};
+        }
         macro_rules! pop {
             () => {
                 self.stack.pop().expect("compiler keeps the stack balanced")
@@ -451,32 +526,32 @@ impl<'p, H: Host> Vm<'p, H> {
             ($e:expr) => {
                 match $e {
                     Ok(v) => v,
-                    Err(f) => return self.crash(CrashKind::Mem(f)),
+                    Err(f) => leave!(self.crash(CrashKind::Mem(f))),
+                }
+            };
+        }
+        macro_rules! step {
+            () => {
+                match self.step(func, &mut pc) {
+                    Ok(instr) => instr,
+                    Err(outcome) => return outcome,
                 }
             };
         }
         loop {
-            if self.fuel == 0 {
-                return RunOutcome::OutOfFuel;
-            }
-            self.fuel -= 1;
-            self.meter.instrs += 1;
-            let func = &self.cp.funcs[self.cur_func.0 as usize];
-            let instr = func.code[self.pc].clone();
-            if let Some(w) = self.watch_loc {
-                let loc = func.locs[self.pc];
-                if loc == w {
-                    if let Err(stop) = self.host.on_watch_loc(loc) {
-                        return self.stop(stop);
-                    }
-                }
-            }
-            self.pc += 1;
-            match instr {
+            match step!() {
                 Instr::Const(v) => {
                     self.meter.charge(op_cost::FREE_OP);
                     let sh = self.host.shadow_const(v);
-                    self.stack.push((v, sh));
+                    if let Some(Instr::Bin(op)) = self.fusable_next(func, pc) {
+                        step!();
+                        let a = pop!();
+                        if let Err(kind) = self.exec_bin(op, a, (v, sh)) {
+                            leave!(self.crash(kind));
+                        }
+                    } else {
+                        self.stack.push((v, sh));
+                    }
                 }
                 Instr::Str(id) => {
                     self.meter.charge(op_cost::FREE_OP);
@@ -486,8 +561,13 @@ impl<'p, H: Host> Vm<'p, H> {
                 }
                 Instr::AddrLocal(off) => {
                     self.meter.charge(op_cost::FREE_OP);
-                    let obj = self.frames.last().expect("running inside a frame").obj;
-                    self.stack.push((pack(obj, off), H::V::default()));
+                    let addr = pack(frame_obj, off);
+                    if let Some(Instr::Load) = self.fusable_next(func, pc) {
+                        step!();
+                        fault!(self.exec_load(addr));
+                    } else {
+                        self.stack.push((addr, H::V::default()));
+                    }
                 }
                 Instr::AddrGlobal(gid) => {
                     self.meter.charge(op_cost::FREE_OP);
@@ -495,13 +575,10 @@ impl<'p, H: Host> Vm<'p, H> {
                     self.stack.push((pack(obj, 0), H::V::default()));
                 }
                 Instr::Load => {
-                    self.meter.charge(op_cost::MEM);
                     let (addr, _) = pop!();
-                    let (v, sh) = fault!(self.mem.load(addr));
-                    let sh = sh.clone();
-                    self.stack.push((v, sh));
+                    fault!(self.exec_load(addr));
                 }
-                Instr::Store | Instr::StoreChar => {
+                instr @ (Instr::Store | Instr::StoreChar) => {
                     self.meter.charge(op_cost::MEM);
                     let (mut v, mut sh) = pop!();
                     let (addr, _) = pop!();
@@ -523,25 +600,27 @@ impl<'p, H: Host> Vm<'p, H> {
                 }
                 Instr::Swap => {
                     self.meter.charge(op_cost::FREE_OP);
-                    let n = self.stack.len();
-                    self.stack.swap(n - 1, n - 2);
+                    let y = pop!();
+                    let x = pop!();
+                    self.stack.push(y);
+                    self.stack.push(x);
                 }
                 Instr::Rot3 => {
                     self.meter.charge(op_cost::FREE_OP);
-                    let n = self.stack.len();
                     // [x y z] -> [y z x]
-                    self.stack[n - 3..n].rotate_left(1);
+                    let z = pop!();
+                    let y = pop!();
+                    let x = pop!();
+                    self.stack.push(y);
+                    self.stack.push(z);
+                    self.stack.push(x);
                 }
                 Instr::Bin(op) => {
-                    self.meter.charge(op_cost::ALU);
-                    let (b, shb) = pop!();
-                    let (a, sha) = pop!();
-                    let out = match eval::binop(op, a, b) {
-                        Ok(v) => v,
-                        Err(_) => return self.crash(CrashKind::DivByZero),
-                    };
-                    let sh = self.host.shadow_binop(op, (a, &sha), (b, &shb), out);
-                    self.stack.push((out, sh));
+                    let b = pop!();
+                    let a = pop!();
+                    if let Err(kind) = self.exec_bin(op, a, b) {
+                        leave!(self.crash(kind));
+                    }
                 }
                 Instr::Un(op) => {
                     self.meter.charge(op_cost::ALU);
@@ -596,7 +675,7 @@ impl<'p, H: Host> Vm<'p, H> {
                 }
                 Instr::Jump(t) => {
                     self.meter.charge(op_cost::JUMP);
-                    self.pc = t as usize;
+                    pc = t as usize;
                 }
                 Instr::Branch {
                     bid,
@@ -607,16 +686,16 @@ impl<'p, H: Host> Vm<'p, H> {
                     self.meter.branches += 1;
                     let (cond, sh) = pop!();
                     let taken = cond != 0;
-                    let loc = self.cp.funcs[self.cur_func.0 as usize].locs[self.pc - 1];
+                    let loc = func.locs[pc - 1];
                     match self.host.on_branch(bid, (cond, &sh), taken, loc) {
                         Ok(extra) => {
                             if extra > 0 {
                                 self.meter.charge_instrumentation(extra);
                             }
                         }
-                        Err(stop) => return self.stop(stop),
+                        Err(stop) => leave!(self.stop(stop)),
                     }
-                    self.pc = if taken {
+                    pc = if taken {
                         on_true as usize
                     } else {
                         on_false as usize
@@ -625,18 +704,15 @@ impl<'p, H: Host> Vm<'p, H> {
                 Instr::Call(fid) => {
                     self.meter.charge(op_cost::CALL);
                     if let Err(stop) = self.host.on_call(fid) {
-                        return self.stop(stop);
+                        leave!(self.stop(stop));
                     }
                     if self.frames.len() >= MAX_FRAMES {
-                        return self.crash(CrashKind::StackOverflow);
+                        leave!(self.crash(CrashKind::StackOverflow));
                     }
-                    let callee = &self.cp.funcs[fid.0 as usize];
-                    let obj = self.mem.alloc(
-                        ObjKind::Frame {
-                            func: callee.name.clone(),
-                        },
-                        callee.frame_cells.max(1),
-                    );
+                    let callee = &cp.funcs[fid.0 as usize];
+                    let obj = self
+                        .mem
+                        .alloc(ObjKind::Frame(fid), callee.frame_cells.max(1));
                     // Pop args (pushed left-to-right) into slots 0..n.
                     for i in (0..callee.n_params).rev() {
                         let (v, sh) = pop!();
@@ -647,11 +723,13 @@ impl<'p, H: Host> Vm<'p, H> {
                     self.frames.push(Frame {
                         obj,
                         ret_func: self.cur_func,
-                        ret_pc: self.pc,
+                        ret_pc: pc,
                         stack_base: self.stack.len(),
                     });
                     self.cur_func = fid;
-                    self.pc = 0;
+                    pc = 0;
+                    func = callee;
+                    frame_obj = obj;
                 }
                 Instr::CallBuiltin(b, argc) => {
                     self.meter.charge(op_cost::BUILTIN);
@@ -661,6 +739,8 @@ impl<'p, H: Host> Vm<'p, H> {
                         args.push(pop!());
                     }
                     args.reverse();
+                    // Builtins crash at the current site.
+                    self.pc = pc;
                     match self.builtin(b, &args) {
                         Ok(ret) => self.stack.push(ret),
                         Err(outcome) => return outcome,
@@ -672,11 +752,13 @@ impl<'p, H: Host> Vm<'p, H> {
                     let frame = self.frames.pop().expect("ret inside a frame");
                     self.mem.kill(frame.obj);
                     self.stack.truncate(frame.stack_base);
-                    if self.frames.is_empty() {
-                        return RunOutcome::Exited(v);
-                    }
+                    let Some(caller) = self.frames.last() else {
+                        leave!(RunOutcome::Exited(v));
+                    };
+                    frame_obj = caller.obj;
                     self.cur_func = frame.ret_func;
-                    self.pc = frame.ret_pc;
+                    pc = frame.ret_pc;
+                    func = &cp.funcs[frame.ret_func.0 as usize];
                     self.stack.push((v, sh));
                 }
             }
@@ -1137,6 +1219,171 @@ mod tests {
         let mut vm = Vm::new(&cp, NullHost::default());
         vm.run(&[]);
         assert_eq!(vm.meter.branches, 11); // 10 taken + 1 exit evaluation
+    }
+
+    /// Crosses both fused pairs of the dispatch loop: locals read through
+    /// `AddrLocal→Load`, constants folded into `Const→Bin` (the loop test,
+    /// the body's multiply, the final `x / 0` crash), with calls and
+    /// returns re-entering the loop in between.
+    const FUSED_PAIRS_SRC: &str = r#"
+        int acc(int n) {
+            int s = 0;
+            for (int i = 0; i < n; i++) {
+                s = s + i * 3;
+            }
+            return s;
+        }
+        int main() {
+            int x = acc(5);
+            int y = x - 30;
+            if (y == 0) { x = x + acc(2); }
+            return x / 0;
+        }
+    "#;
+
+    /// Aborts the run at the `abort_at`-th watch hit, counting every hit.
+    #[derive(Default)]
+    struct WatchAbort {
+        abort_at: u32,
+        hits: u32,
+    }
+
+    impl Host for WatchAbort {
+        type V = ();
+
+        fn on_watch_loc(&mut self, _loc: Loc) -> Result<(), HostStop> {
+            self.hits += 1;
+            if self.hits == self.abort_at {
+                return Err(HostStop::Abort(format!("watch hit {}", self.hits)));
+            }
+            Ok(())
+        }
+
+        fn syscall(
+            &mut self,
+            _sys: Sys,
+            _args: &[(i64, ())],
+            _mem: &mut Memory<()>,
+            _meter: &mut Meter,
+        ) -> Result<(i64, ()), HostStop> {
+            Ok((-1, ()))
+        }
+    }
+
+    /// Runs `host` on `cp` under `fuel` (`None`: the default budget).
+    fn fueled_run<H: Host>(
+        cp: &CompiledProgram,
+        host: H,
+        watch: Option<Loc>,
+        fuel: Option<u64>,
+    ) -> (RunOutcome, Meter, H) {
+        let mut vm = Vm::new(cp, host);
+        vm.watch_loc = watch;
+        if let Some(f) = fuel {
+            vm.fuel = f;
+        }
+        let out = vm.run(&[]);
+        (out, vm.meter, vm.host)
+    }
+
+    /// Every budget from 0 to N+1 (N: the unlimited run's instruction
+    /// count) must either run out of fuel after exactly `budget`
+    /// instructions, and then resume, refueled, to the unlimited run's
+    /// end, or reproduce the unlimited run's outcome and meter. Resuming
+    /// checks that no stop leaves a fused pair half-executed.
+    fn sweep_fuel<H: Host>(
+        cp: &CompiledProgram,
+        watch: Option<Loc>,
+        host: impl Fn() -> H,
+        check_host: impl Fn(&H, &H),
+    ) -> RunOutcome {
+        let (full, full_meter, full_host) = fueled_run(cp, host(), watch, None);
+        let n = full_meter.instrs;
+        for budget in 0..=n + 1 {
+            let mut vm = Vm::new(cp, host());
+            vm.watch_loc = watch;
+            vm.fuel = budget;
+            let mut out = vm.run(&[]);
+            if budget < n {
+                assert_eq!(out, RunOutcome::OutOfFuel, "budget {budget} of {n}");
+                assert_eq!(vm.meter.instrs, budget, "budget {budget} of {n}");
+                vm.fuel = DEFAULT_FUEL;
+                out = vm.resume();
+            }
+            assert_eq!(out, full, "budget {budget} of {n}");
+            assert_eq!(vm.meter, full_meter, "budget {budget} of {n}");
+            check_host(&vm.host, &full_host);
+        }
+        full
+    }
+
+    #[test]
+    fn fuel_sweep_is_exact_across_fused_pairs() {
+        let cp = build(&[("main", FUSED_PAIRS_SRC)]).unwrap();
+        let code: Vec<&Instr> = cp.funcs.iter().flat_map(|f| &f.code).collect();
+        let has_pair = |a: fn(&Instr) -> bool, b: fn(&Instr) -> bool| {
+            code.windows(2).any(|w| a(w[0]) && b(w[1]))
+        };
+        assert!(has_pair(
+            |i| matches!(i, Instr::AddrLocal(_)),
+            |i| matches!(i, Instr::Load)
+        ));
+        assert!(has_pair(
+            |i| matches!(i, Instr::Const(0)),
+            |i| matches!(i, Instr::Bin(BinOp::Div))
+        ));
+
+        let full = sweep_fuel(&cp, None, NullHost::default, |_, _| {});
+        let crash = full.crash().expect("x / 0 crashes");
+        assert_eq!(crash.kind, CrashKind::DivByZero);
+        assert_eq!(crash.func, "main");
+
+        // Watch the Load of the loop body's `i` (an AddrLocal→Load pair
+        // before `Const(3)`). Its AddrLocal shares the location, so hit 1
+        // is the AddrLocal and hit 2 the Load itself, where the run must
+        // abort.
+        let f = cp.funcs.iter().find(|f| f.name == "acc").unwrap();
+        let pc = (1..f.code.len() - 1)
+            .find(|&pc| {
+                matches!(f.code[pc - 1], Instr::AddrLocal(_))
+                    && f.code[pc] == Instr::Load
+                    && f.code[pc + 1] == Instr::Const(3)
+            })
+            .unwrap();
+        let watch = Some(f.locs[pc]);
+        assert_eq!(f.locs[pc - 1], f.locs[pc]);
+        let aborted = sweep_fuel(
+            &cp,
+            watch,
+            || WatchAbort {
+                abort_at: 2,
+                hits: 0,
+            },
+            |h, full| assert_eq!(h.hits, full.hits),
+        );
+        assert_eq!(aborted, RunOutcome::Aborted("watch hit 2".into()));
+        // The abort leaves the VM on the Load with its address pushed:
+        // resuming re-enters the Load (hit 3) and ends as unwatched.
+        let mut vm = Vm::new(
+            &cp,
+            WatchAbort {
+                abort_at: 2,
+                hits: 0,
+            },
+        );
+        vm.watch_loc = watch;
+        assert_eq!(vm.run(&[]), aborted);
+        assert_eq!(vm.resume(), full);
+
+        // A watch that never aborts only observes: the run ends exactly as
+        // unwatched, and every pass of the loop body reports three hits —
+        // the AddrLocal, the Load and the multiply, whose span also starts
+        // at `i`.
+        let (out, meter, h) = fueled_run(&cp, WatchAbort::default(), watch, None);
+        let (_, bare_meter, _) = fueled_run(&cp, NullHost::default(), None, None);
+        assert_eq!(out, full);
+        assert_eq!(meter, bare_meter);
+        assert_eq!(h.hits, 3 * (5 + 2));
     }
 
     #[test]

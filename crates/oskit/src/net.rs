@@ -114,6 +114,9 @@ pub struct NetState {
     pub conns: Vec<Conn>,
     /// Count of connections fully served (closed by server).
     pub served: usize,
+    /// Indices of the accepted, unclosed connections, ascending: the
+    /// pump and the liveness queries cost O(live), not O(accepted).
+    live: Vec<usize>,
 }
 
 impl NetState {
@@ -125,12 +128,13 @@ impl NetState {
             arrived: VecDeque::new(),
             conns: Vec::new(),
             served: 0,
+            live: Vec::new(),
         }
     }
 
     /// Number of live (accepted, unclosed) connections.
     pub fn live_conns(&self) -> usize {
-        self.conns.iter().filter(|c| !c.closed_by_server).count()
+        self.live.len()
     }
 
     /// The `select` pump: lets clients arrive (bounded by the window) and
@@ -142,10 +146,8 @@ impl NetState {
                 None => break,
             }
         }
-        for c in &mut self.conns {
-            if !c.closed_by_server {
-                c.pump();
-            }
+        for &i in &self.live {
+            self.conns[i].pump();
         }
     }
 
@@ -158,7 +160,9 @@ impl NetState {
     pub fn accept(&mut self) -> Option<usize> {
         let script = self.arrived.pop_front()?;
         self.conns.push(Conn::new(script));
-        Some(self.conns.len() - 1)
+        let idx = self.conns.len() - 1;
+        self.live.push(idx);
+        Some(idx)
     }
 
     /// Marks a connection closed by the server.
@@ -167,6 +171,9 @@ impl NetState {
             if !c.closed_by_server {
                 c.closed_by_server = true;
                 self.served += 1;
+                if let Ok(at) = self.live.binary_search(&idx) {
+                    self.live.remove(at);
+                }
                 return true;
             }
         }
@@ -245,6 +252,53 @@ mod tests {
         net.close(idx);
         assert!(net.all_served());
         assert_eq!(net.served, 1);
+    }
+
+    /// A server that accepts whatever arrived, drains one packet per
+    /// live connection per step and closes at EOF — in an order that
+    /// does not follow the accept order — checked after every operation
+    /// against a scan of every connection ever accepted.
+    #[test]
+    fn live_index_matches_a_scan_of_all_connections() {
+        fn check(net: &NetState) {
+            let live: Vec<usize> = (0..net.conns.len())
+                .filter(|&i| !net.conns[i].closed_by_server)
+                .collect();
+            let closed = net.conns.len() - live.len();
+            assert_eq!(net.live_conns(), live.len());
+            assert_eq!(net.live, live, "ascending live indices");
+            assert_eq!(net.served, closed);
+            let all = net.backlog.is_empty() && net.arrived.is_empty() && live.is_empty();
+            assert_eq!(net.all_served(), all);
+        }
+        let clients: Vec<ClientScript> = (0..60)
+            .map(|k| ClientScript {
+                packets: vec![vec![b'x'; 1 + k % 3]; 1 + (k * 7) % 4],
+                close_after: true,
+            })
+            .collect();
+        let mut net = NetState::new(clients, 3);
+        let mut steps = 0;
+        while !net.all_served() {
+            steps += 1;
+            assert!(steps < 10_000, "serve does not terminate");
+            net.pump();
+            check(&net);
+            while net.accept().is_some() {
+                check(&net);
+            }
+            // Newest connections first, so closes land mid-index.
+            let live: Vec<usize> = net.live.iter().rev().copied().collect();
+            for idx in live {
+                if net.conns[idx].read(2) == Some(Vec::new()) {
+                    assert!(net.close(idx));
+                    assert!(!net.close(idx), "a second close is a no-op");
+                }
+                check(&net);
+            }
+        }
+        assert_eq!(net.served, 60);
+        assert_eq!(net.conns.len(), 60);
     }
 
     #[test]
