@@ -24,8 +24,7 @@ use oskit::{Kernel, KernelConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use search::{Frontier, FrontierStats, PrefixSigs, SearchLimits, SearchPolicy};
-use solver::{mix_seed, ConstraintSet, ExprArena, Lit, PrefixCache, SolveCfg, VarId};
-use std::collections::HashMap;
+use solver::{mix_seed, ConstraintSet, ExprArena, FastMap, Lit, PrefixCache, SolveCfg, VarId};
 
 /// Exploration budget. `max_runs` is the primary (deterministic) knob —
 /// the LC/HC axis of the paper; the others are safety caps. The shared
@@ -337,7 +336,7 @@ impl<'p> Engine<'p> {
         frontier: &mut Frontier,
         cache: &mut PrefixCache,
     ) {
-        let pin: HashMap<VarId, i64> = record.nondet.iter().copied().collect();
+        let pin: FastMap<VarId, i64> = record.nondet.iter().copied().collect();
         let exprs: Vec<_> = record.path.iter().map(|s| s.lit.expr).collect();
         let substituted_exprs = arena.substitute_many(&exprs, &pin);
         let substituted: Vec<Lit> = record
@@ -404,7 +403,7 @@ impl<'p> Engine<'p> {
                 continue;
             }
             // Skip conditions that no controllable input influences.
-            if arena.support(substituted[i].expr).is_empty() {
+            if arena.is_concrete(substituted[i].expr) {
                 continue;
             }
             let neg = substituted[i].negated();

@@ -29,8 +29,10 @@ use minic::vm::{RunOutcome, Vm};
 use minic::CompiledProgram;
 use oskit::SimFs;
 use search::{Frontier, FrontierStats, PrefixSigs, RepairTracker, SearchLimits, SearchPolicy};
-use solver::{mix_seed, ConstraintSet, ExprArena, Lit, Node, Op, PrefixCache, SolveCfg, VarId};
-use std::collections::{HashMap, HashSet};
+use solver::{
+    mix_seed, ConstraintSet, ExprArena, FastMap, FastSet, Lit, Node, Op, PrefixCache, SolveCfg,
+    VarId,
+};
 
 pub use crate::escalation::{EscalationReport, LocationEscalation};
 
@@ -451,7 +453,7 @@ impl<'p> ReplayEngine<'p> {
             let unlogged_sym = |i: usize| {
                 i < self.cfg.budget.max_pending_lits
                     && matches!(path[i].origin, StepOrigin::Branch(b) if !self.plan.covers(b))
-                    && !arena.support(lits[i].expr).is_empty()
+                    && !arena.is_concrete(lits[i].expr)
             };
             let offer_flip = |frontier: &mut Frontier, d: usize| {
                 let neg = lits[d].negated();
@@ -526,7 +528,7 @@ impl<'p> ReplayEngine<'p> {
             if forced && i == lits.len() - 1 {
                 continue;
             }
-            if arena.support(lits[i].expr).is_empty() {
+            if arena.is_concrete(lits[i].expr) {
                 continue;
             }
             let neg = lits[i].negated();
@@ -575,7 +577,7 @@ impl<'p> ReplayEngine<'p> {
                     .enumerate()
                     .filter(|(_, st)| {
                         matches!(st.origin, StepOrigin::Branch(b) if !self.plan.covers(b))
-                            && !arena.support(st.lit.expr).is_empty()
+                            && !arena.is_concrete(st.lit.expr)
                     })
                     .map(|(i, _)| i)
                     .take(window)
@@ -1377,9 +1379,9 @@ struct RunArtifacts {
 /// accounting per shared prefix key, and the log high-water mark that
 /// defines "progress" (bursts only accumulate while it stands still).
 struct RepairBook {
-    forced_meta: HashMap<u128, ForcedInfo>,
+    forced_meta: FastMap<u128, ForcedInfo>,
     tracker: RepairTracker,
-    counted_cutoffs: HashSet<u128>,
+    counted_cutoffs: FastSet<u128>,
     bits_high_water: u64,
     /// Per-location escalation evidence accumulated over the search,
     /// handed to the caller through [`ReplayResult::escalation`].
@@ -1389,9 +1391,9 @@ struct RepairBook {
 impl RepairBook {
     fn new() -> Self {
         RepairBook {
-            forced_meta: HashMap::new(),
+            forced_meta: FastMap::default(),
             tracker: RepairTracker::new(),
-            counted_cutoffs: HashSet::new(),
+            counted_cutoffs: FastSet::default(),
             bits_high_water: 0,
             escalation: EscalationReport::new(),
         }

@@ -44,8 +44,7 @@
 //! sets an earlier run already banked, so most candidates are never
 //! built at all.
 
-use solver::{ConstraintSet, Fnv128, Lit, RangeConstraint};
-use std::collections::{HashMap, HashSet};
+use solver::{ConstraintSet, FastMap, FastSet, Fnv128, Lit, RangeConstraint};
 
 pub mod limits;
 pub mod pool;
@@ -170,8 +169,8 @@ pub fn location_key(loc: u32, pos: u64) -> u128 {
 /// bursts.)
 #[derive(Debug, Default)]
 pub struct RepairTracker {
-    bursts: HashMap<u128, u32>,
-    attempts: HashMap<u128, u32>,
+    bursts: FastMap<u128, u32>,
+    attempts: FastMap<u128, u32>,
 }
 
 impl RepairTracker {
@@ -449,9 +448,9 @@ pub struct Frontier {
     /// Current run's accepted candidates, committed by [`end_run`].
     run_buffer: Vec<PendingSet>,
     /// 128-bit signatures of every set ever accepted.
-    seen: HashSet<u128>,
+    seen: FastSet<u128>,
     /// Per-branch-location accepts this run.
-    quota_used: HashMap<u32, usize>,
+    quota_used: FastMap<u32, usize>,
     accepted_this_run: usize,
     generation: u64,
     pop_tick: u64,
@@ -541,8 +540,8 @@ impl Frontier {
             entries: Vec::new(),
             priority: Vec::new(),
             run_buffer: Vec::new(),
-            seen: HashSet::new(),
-            quota_used: HashMap::new(),
+            seen: FastSet::default(),
+            quota_used: FastMap::default(),
             accepted_this_run: 0,
             generation: 0,
             pop_tick: 0,

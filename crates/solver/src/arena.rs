@@ -5,7 +5,12 @@
 //! VM cell, (2) structural sharing across the millions of shadow
 //! operations a concolic run performs, and (3) constant folding at
 //! construction so trivially concrete expressions never materialize.
+//!
+//! Folding is total: every constructor turns an operation whose operands
+//! are all constants into a constant, so a node is `Const` exactly when
+//! its support is empty. [`ExprArena::is_concrete`] answers that in O(1).
 
+use crate::fasthash::{FastMap, FastSet};
 use crate::op::{eval_op, eval_unop, Op, UnOp};
 use std::collections::HashMap;
 use std::fmt;
@@ -75,7 +80,8 @@ impl VarInfo {
 #[derive(Debug)]
 pub struct ArenaSnapshot {
     nodes: Vec<Node>,
-    intern: HashMap<Node, ExprRef>,
+    intern: FastMap<Node, ExprRef>,
+    consts: HashMap<i64, ExprRef>,
     generation: u64,
 }
 
@@ -114,8 +120,14 @@ pub struct ExprArena {
     base_len: u32,
     /// Mutable suffix nodes appended since the last freeze.
     nodes: Vec<Node>,
-    /// Intern map of the suffix only (values are absolute handles).
-    intern: HashMap<Node, ExprRef>,
+    /// Intern map of the suffix's variable and operation nodes (values
+    /// are absolute handles). Their keys are arena handles, so they take
+    /// the internal hasher.
+    intern: FastMap<Node, ExprRef>,
+    /// Intern map of the suffix's constants. A constant can come from a
+    /// bug report (a logged syscall's return value, or a value computed
+    /// from one), so this map keeps SipHash.
+    consts: HashMap<i64, ExprRef>,
     /// Variable table: small and append-only, kept whole (not snapshotted).
     vars: Vec<VarInfo>,
 }
@@ -166,10 +178,12 @@ impl ExprArena {
         }
         let suffix_nodes = std::mem::take(&mut self.nodes);
         let suffix_intern = std::mem::take(&mut self.intern);
+        let suffix_consts = std::mem::take(&mut self.consts);
         let mut core = match self.base.take() {
             None => ArenaSnapshot {
                 nodes: Vec::new(),
-                intern: HashMap::new(),
+                intern: FastMap::default(),
+                consts: HashMap::new(),
                 generation: 0,
             },
             Some(arc) => match Arc::try_unwrap(arc) {
@@ -177,12 +191,14 @@ impl ExprArena {
                 Err(shared) => ArenaSnapshot {
                     nodes: shared.nodes.clone(),
                     intern: shared.intern.clone(),
+                    consts: shared.consts.clone(),
                     generation: shared.generation,
                 },
             },
         };
         core.nodes.extend(suffix_nodes);
         core.intern.extend(suffix_intern);
+        core.consts.extend(suffix_consts);
         core.generation += 1;
         let generation = core.generation;
         self.base_len = core.nodes.len() as u32;
@@ -228,18 +244,32 @@ impl ExprArena {
         }
     }
 
+    /// True when `e` is a constant. Constructors fold every operation
+    /// over constants, so this is exactly `support(e).is_empty()`,
+    /// without the walk.
+    pub fn is_concrete(&self, e: ExprRef) -> bool {
+        matches!(self.node(e), Node::Const(_))
+    }
+
     fn intern(&mut self, n: Node) -> ExprRef {
-        if let Some(b) = &self.base {
-            if let Some(r) = b.intern.get(&n) {
-                return *r;
-            }
-        }
-        if let Some(r) = self.intern.get(&n) {
+        let base = self.base.as_deref();
+        let found = match n {
+            Node::Const(v) => base
+                .and_then(|b| b.consts.get(&v))
+                .or_else(|| self.consts.get(&v)),
+            _ => base
+                .and_then(|b| b.intern.get(&n))
+                .or_else(|| self.intern.get(&n)),
+        };
+        if let Some(r) = found {
             return *r;
         }
         let r = ExprRef(self.base_len + self.nodes.len() as u32);
         self.nodes.push(n);
-        self.intern.insert(n, r);
+        match n {
+            Node::Const(v) => self.consts.insert(v, r),
+            _ => self.intern.insert(n, r),
+        };
         r
     }
 
@@ -363,16 +393,11 @@ impl ExprArena {
     /// Rewrites an expression, replacing the mapped variables by
     /// constants (used to pin uncontrollable non-determinism to its
     /// observed values before solving for the controllable inputs).
-    pub fn substitute(
-        &mut self,
-        root: ExprRef,
-        map: &std::collections::HashMap<VarId, i64>,
-    ) -> ExprRef {
+    pub fn substitute(&mut self, root: ExprRef, map: &FastMap<VarId, i64>) -> ExprRef {
         if map.is_empty() {
             return root;
         }
-        let mut memo: std::collections::HashMap<ExprRef, ExprRef> = Default::default();
-        self.subst_memo(root, map, &mut memo)
+        self.subst_memo(root, map, &mut FastMap::default())
     }
 
     /// Substitutes many roots sharing one rewrite memo (linear in the
@@ -380,12 +405,12 @@ impl ExprArena {
     pub fn substitute_many(
         &mut self,
         roots: &[ExprRef],
-        map: &std::collections::HashMap<VarId, i64>,
+        map: &FastMap<VarId, i64>,
     ) -> Vec<ExprRef> {
         if map.is_empty() {
             return roots.to_vec();
         }
-        let mut memo: std::collections::HashMap<ExprRef, ExprRef> = Default::default();
+        let mut memo = FastMap::default();
         roots
             .iter()
             .map(|r| self.subst_memo(*r, map, &mut memo))
@@ -395,8 +420,8 @@ impl ExprArena {
     fn subst_memo(
         &mut self,
         r: ExprRef,
-        map: &std::collections::HashMap<VarId, i64>,
-        memo: &mut std::collections::HashMap<ExprRef, ExprRef>,
+        map: &FastMap<VarId, i64>,
+        memo: &mut FastMap<ExprRef, ExprRef>,
     ) -> ExprRef {
         if let Some(out) = memo.get(&r) {
             return *out;
@@ -488,15 +513,9 @@ impl ExprArena {
         roots.iter().map(|r| translate(&memo, *r)).collect()
     }
 
-    /// Collects the support of many expressions with one shared visited
-    /// set; returns per-root supports.
-    pub fn support_many(&self, roots: &[ExprRef]) -> Vec<Vec<VarId>> {
-        roots.iter().map(|r| self.support(*r)).collect()
-    }
-
     /// Collects the variables an expression depends on (sorted, deduped).
     pub fn support(&self, root: ExprRef) -> Vec<VarId> {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = FastSet::default();
         let mut vars = Vec::new();
         let mut stack = vec![root];
         while let Some(r) = stack.pop() {
@@ -586,12 +605,16 @@ impl ExprArena {
 /// loop over thousands of literals. An `Evaluator` keeps one buffer and
 /// invalidates it by bumping a generation counter when the assignment
 /// changes, so evaluating many literals under the same assignment shares
-/// all common subexpression results.
+/// all common subexpression results. The stamps also make one evaluator
+/// safe to reuse across arenas: after an invalidation no slot written
+/// before it reads as current.
 #[derive(Debug, Clone)]
 pub struct Evaluator {
     values: Vec<i64>,
     stamp: Vec<u32>,
     generation: u32,
+    /// The traversal stack, kept between calls (empty between them).
+    stack: Vec<(ExprRef, bool)>,
 }
 
 impl Evaluator {
@@ -601,17 +624,18 @@ impl Evaluator {
             values: vec![0; arena.len()],
             stamp: vec![0; arena.len()],
             generation: 1,
+            stack: Vec::new(),
         }
     }
 
-    /// Creates an empty evaluator (grows on first use). For placeholder
-    /// slots that are swapped out before any evaluation, where sizing by
-    /// the arena would allocate for nothing.
+    /// Creates an empty evaluator (grows on first use), for one that
+    /// will serve arenas of different sizes.
     pub fn empty() -> Self {
         Evaluator {
             values: Vec::new(),
             stamp: Vec::new(),
             generation: 1,
+            stack: Vec::new(),
         }
     }
 
@@ -638,8 +662,8 @@ impl Evaluator {
     pub fn eval(&mut self, arena: &ExprArena, root: ExprRef, assign: &[i64]) -> i64 {
         self.ensure(arena.len());
         let g = self.generation;
-        let mut stack = vec![(root, false)];
-        while let Some((r, expanded)) = stack.pop() {
+        self.stack.push((root, false));
+        while let Some((r, expanded)) = self.stack.pop() {
             let i = r.0 as usize;
             if self.stamp[i] == g {
                 continue;
@@ -656,13 +680,13 @@ impl Evaluator {
                         self.stamp[i] = g;
                     }
                     Node::Bin(_, a, b) => {
-                        stack.push((r, true));
-                        stack.push((a, false));
-                        stack.push((b, false));
+                        self.stack.push((r, true));
+                        self.stack.push((a, false));
+                        self.stack.push((b, false));
                     }
                     Node::Un(_, a) => {
-                        stack.push((r, true));
-                        stack.push((a, false));
+                        self.stack.push((r, true));
+                        self.stack.push((a, false));
                     }
                 }
             } else {
@@ -710,7 +734,7 @@ mod tests {
         let (_, y) = a.fresh_var(VarInfo::byte());
         let s = a.bin(Op::Add, x, y);
         let t = a.bin(Op::Mul, s, x);
-        let map: std::collections::HashMap<VarId, i64> = [(vx, 3)].into_iter().collect();
+        let map: FastMap<VarId, i64> = [(vx, 3)].into_iter().collect();
         let many = a.substitute_many(&[s, t], &map);
         assert_eq!(many[0], a.substitute(s, &map));
         assert_eq!(many[1], a.substitute(t, &map));

@@ -41,8 +41,8 @@
 
 use crate::arena::{ExprArena, ExprRef, VarId, VarInfo};
 use crate::constraint::{ConstraintSet, Lit, RangeConstraint};
+use crate::fasthash::{FastMap, FastSet};
 use crate::interval::{propagate, range, Interval};
-use std::collections::{HashMap, HashSet};
 
 /// FNV-1a 128-bit offset basis. One home for the constants the search
 /// crate's dedup signatures and this cache's prefix signatures share.
@@ -114,14 +114,14 @@ const MAX_RANGE_PREFIXES: usize = 32;
 #[derive(Debug, Default)]
 pub struct PrefixCache {
     /// Signatures of every satisfied literal prefix ever registered.
-    sat_prefixes: HashSet<u128>,
+    sat_prefixes: FastSet<u128>,
     /// Forward interval per literal/range expression (default domains).
-    expr_ranges: HashMap<ExprRef, Interval>,
+    expr_ranges: FastMap<ExprRef, Interval>,
     /// Support (sorted, deduped) per literal expression.
-    expr_supports: HashMap<ExprRef, Vec<VarId>>,
+    expr_supports: FastMap<ExprRef, Vec<VarId>>,
     /// Narrowing deltas vs the default domains, keyed by a signature of
     /// the full range-constraint vector.
-    range_states: HashMap<u128, Vec<(u32, VarInfo)>>,
+    range_states: FastMap<u128, Vec<(u32, VarInfo)>>,
     /// Arena generation at the last registration (diagnostics; entries
     /// stay valid across generations because nodes are immutable).
     generation: u64,

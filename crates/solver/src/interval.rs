@@ -17,8 +17,8 @@
 
 use crate::arena::{ExprArena, ExprRef, Node, VarInfo};
 use crate::constraint::ConstraintSet;
+use crate::fasthash::FastMap;
 use crate::op::{Op, UnOp};
-use std::collections::HashMap;
 
 /// An inclusive integer interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,8 +111,7 @@ fn align_down(x: i64, align: i64, phase: i64) -> Option<i64> {
 /// Computes a conservative range for `root` under the arena's variable
 /// domains.
 pub fn range(arena: &ExprArena, root: ExprRef) -> Interval {
-    let mut memo: HashMap<ExprRef, Interval> = HashMap::new();
-    range_memo(arena, root, None, &mut memo)
+    range_memo(arena, root, None, &mut FastMap::default())
 }
 
 /// Like [`range`], but with the variable domains overridden by `domains`
@@ -120,15 +119,14 @@ pub fn range(arena: &ExprArena, root: ExprRef) -> Interval {
 /// arena's declared domains). Used by [`propagate`] so each narrowing pass
 /// sees the domains the previous pass produced.
 pub fn range_in(arena: &ExprArena, root: ExprRef, domains: &[VarInfo]) -> Interval {
-    let mut memo: HashMap<ExprRef, Interval> = HashMap::new();
-    range_memo(arena, root, Some(domains), &mut memo)
+    range_memo(arena, root, Some(domains), &mut FastMap::default())
 }
 
 fn range_memo(
     arena: &ExprArena,
     r: ExprRef,
     domains: Option<&[VarInfo]>,
-    memo: &mut HashMap<ExprRef, Interval>,
+    memo: &mut FastMap<ExprRef, Interval>,
 ) -> Interval {
     if let Some(i) = memo.get(&r) {
         return *i;

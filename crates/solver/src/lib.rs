@@ -104,6 +104,7 @@
 pub mod arena;
 pub mod cache;
 pub mod constraint;
+pub mod fasthash;
 pub mod interval;
 pub mod op;
 pub mod solve;
@@ -111,6 +112,7 @@ pub mod solve;
 pub use arena::{ArenaSnapshot, ExprArena, ExprRef, Node, VarId, VarInfo};
 pub use cache::{Fnv128, PrefixCache, FNV128_OFFSET, FNV128_PRIME};
 pub use constraint::{ConstraintSet, Lit, RangeConstraint};
+pub use fasthash::{FastHasher, FastMap, FastSet, FastState};
 pub use interval::{div_ceil, div_floor, propagate, range, range_in, Interval};
 pub use op::{eval_op, eval_unop, Op, UnOp};
 pub use solve::{
@@ -181,8 +183,99 @@ mod proptests {
         }
     }
 
+    const OPS: [Op; 16] = [
+        Op::Add,
+        Op::Sub,
+        Op::Mul,
+        Op::Div,
+        Op::Rem,
+        Op::And,
+        Op::Or,
+        Op::Xor,
+        Op::Shl,
+        Op::Shr,
+        Op::Eq,
+        Op::Ne,
+        Op::Lt,
+        Op::Le,
+        Op::Gt,
+        Op::Ge,
+    ];
+
+    /// Grows an arena by one handle per fuzz step: a constant (mostly
+    /// ones the simplifications match), a fresh variable, or a unary or
+    /// binary operation over earlier handles.
+    fn grow(arena: &mut ExprArena, pool: &mut Vec<ExprRef>, steps: &[(u8, u8, u8, i64)]) {
+        for &(kind, x, y, c) in steps {
+            let pick = |k: u8| pool[k as usize % pool.len()];
+            let e = match kind % 8 {
+                0 => arena.constant([0, 1, 255, -1, i64::MAX, i64::MIN, c][x as usize % 7]),
+                1 => arena.fresh_var(VarInfo::range(-1, i64::from(x) * 16)).1,
+                2 => {
+                    let a = pick(x);
+                    arena.un([UnOp::Neg, UnOp::Not, UnOp::BitNot][y as usize % 3], a)
+                }
+                3 => {
+                    let a = pick(x);
+                    arena.mask_char(a)
+                }
+                _ => {
+                    let (a, b) = (pick(x), pick(y));
+                    arena.bin(OPS[(kind >> 4) as usize], a, b)
+                }
+            };
+            pool.push(e);
+        }
+    }
+
+    fn assert_concrete_iff_no_support(arena: &ExprArena) {
+        for i in 0..arena.len() {
+            let e = ExprRef(i as u32);
+            assert_eq!(
+                arena.is_concrete(e),
+                arena.support(e).is_empty(),
+                "{}",
+                arena.display(e)
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Folding is total: every node the constructors intern is a
+        /// constant exactly when its support is empty. Checked over
+        /// every node of a random arena as built, after substitution
+        /// pins some variables, and after a worker's clone is absorbed
+        /// into an arena that moved on.
+        #[test]
+        fn concreteness_is_an_empty_support(
+            steps in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<i64>()), 1..64),
+            more in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<i64>()), 1..32),
+            pins in proptest::collection::vec((any::<u8>(), any::<i64>()), 1..4),
+        ) {
+            let mut arena = ExprArena::new();
+            let mut pool: Vec<ExprRef> =
+                (0..2).map(|_| arena.fresh_var(VarInfo::byte()).1).collect();
+            grow(&mut arena, &mut pool, &steps);
+            assert_concrete_iff_no_support(&arena);
+
+            let n_vars = arena.n_vars() as u32;
+            let map: FastMap<VarId, i64> =
+                pins.iter().map(|&(v, c)| (VarId(u32::from(v) % n_vars), c)).collect();
+            let pinned = arena.substitute_many(&pool, &map);
+            assert_concrete_iff_no_support(&arena);
+
+            arena.freeze();
+            let base_nodes = arena.len();
+            let mut worker = arena.clone();
+            let mut worker_pool = pinned;
+            grow(&mut worker, &mut worker_pool, &more);
+            let moved_on: Vec<_> = steps.iter().rev().take(8).copied().collect();
+            grow(&mut arena, &mut pool, &moved_on);
+            arena.absorb(&worker, base_nodes, &worker_pool);
+            assert_concrete_iff_no_support(&arena);
+        }
 
         /// Any model returned by the solver satisfies the constraints.
         #[test]

@@ -19,7 +19,10 @@
 //!    literal satisfaction flags and a variable→literal adjacency index;
 //!    each move re-evaluates only the literals depending on the mutated
 //!    variable (with a generation-stamped shared memo). Deterministic via
-//!    an internal xorshift PRNG seeded by the caller.
+//!    an internal xorshift PRNG seeded by the caller. The adjacency is
+//!    one CSR pair of vectors that a move walks in place, banked supports
+//!    are borrowed from the prefix cache, and the memo is one
+//!    [`Evaluator`] per thread, reused by every solve on it.
 //! 4. **Stall proof** — at the search's first stall (the first iteration
 //!    that does not raise the satisfied count) the solver tries once to
 //!    prove the set UNSAT from the items the *seed* violates: (a) a
@@ -48,10 +51,12 @@
 use crate::arena::{Evaluator, ExprArena, ExprRef, Node, VarId, VarInfo};
 use crate::cache::PrefixCache;
 use crate::constraint::{ConstraintSet, RangeConstraint};
+use crate::fasthash::FastSet;
 use crate::interval::{propagate, range_in};
 use crate::op::Op;
 use crate::op::UnOp;
-use std::collections::{HashMap, HashSet};
+use std::borrow::Cow;
+use std::cell::RefCell;
 
 /// The 64-bit golden-ratio constant (`2^64 / φ`), the standard
 /// multiplicative seed-mixing step.
@@ -87,7 +92,7 @@ impl Default for SolveCfg {
 }
 
 /// Outcome statistics of a solve call (for the evaluation harness).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Iterations spent.
     pub iters: usize,
@@ -187,17 +192,30 @@ impl Item {
 /// Widest variable domain the stall proof enumerates: a byte's values.
 const PROOF_DOMAIN: i128 = 256;
 
+thread_local! {
+    /// The evaluator every search on this thread uses. Its buffers grow
+    /// to the largest arena solved so far instead of being allocated per
+    /// solve; each search starts with an invalidation, so no slot an
+    /// earlier solve wrote reads as current.
+    static EVALUATOR: RefCell<Evaluator> = RefCell::new(Evaluator::empty());
+}
+
 struct Search<'a> {
     arena: &'a ExprArena,
     items: Vec<Item>,
     /// Narrowed per-variable domains (from interval propagation).
     domains: Vec<VarInfo>,
-    ev: Evaluator,
+    ev: &'a mut Evaluator,
     assign: Vec<i64>,
     sat: Vec<bool>,
     n_sat: usize,
-    supports: Vec<Vec<VarId>>,
-    var_lits: HashMap<VarId, Vec<usize>>,
+    /// Per item, its support: borrowed from the prefix cache when banked.
+    supports: Vec<Cow<'a, [VarId]>>,
+    /// Var→item adjacency in CSR form: the items whose support holds
+    /// variable `v` are `var_items[var_start[v]..var_start[v + 1]]`, in
+    /// item order.
+    var_start: Vec<usize>,
+    var_items: Vec<usize>,
     /// Items the seed assignment violates, recorded once: every conflict
     /// the stall proof looks for involves one of them.
     seed_violated: Vec<usize>,
@@ -209,7 +227,8 @@ impl<'a> Search<'a> {
         cs: &'a ConstraintSet,
         domains: Vec<VarInfo>,
         assign: Vec<i64>,
-        cache: Option<&PrefixCache>,
+        cache: Option<&'a PrefixCache>,
+        ev: &'a mut Evaluator,
     ) -> Self {
         let items: Vec<Item> = cs
             .lits
@@ -222,17 +241,32 @@ impl<'a> Search<'a> {
         // executed) is the value `arena.support` would compute. The
         // negated tail literal shares its expression with the registered
         // positive form, so divergent tails hit too.
-        let supports: Vec<Vec<VarId>> = items
+        let supports: Vec<Cow<'a, [VarId]>> = items
             .iter()
             .map(|l| match cache.and_then(|c| c.support_of(l.expr())) {
-                Some(s) => s.to_vec(),
-                None => arena.support(l.expr()),
+                Some(s) => Cow::Borrowed(s),
+                None => Cow::Owned(arena.support(l.expr())),
             })
             .collect();
-        let mut var_lits: HashMap<VarId, Vec<usize>> = HashMap::new();
-        for (i, sup) in supports.iter().enumerate() {
-            for v in sup {
-                var_lits.entry(*v).or_default().push(i);
+        // A counting sort of the (variable, item) pairs by variable.
+        // Supports are deduped, so each item appears once per variable.
+        let n_vars = arena.n_vars();
+        let mut var_start = vec![0usize; n_vars + 1];
+        for v in supports.iter().flat_map(|s| s.iter()) {
+            var_start[v.0 as usize] += 1;
+        }
+        for k in 1..=n_vars {
+            var_start[k] += var_start[k - 1];
+        }
+        // `var_start[v]` is the end of `v`'s slice: fill each slice
+        // from the back, walking the items backwards so it ends up in
+        // item order with `var_start[v]` at its start.
+        let mut var_items = vec![0usize; var_start[n_vars]];
+        for (i, sup) in supports.iter().enumerate().rev() {
+            for v in sup.iter() {
+                let slot = &mut var_start[v.0 as usize];
+                *slot -= 1;
+                var_items[*slot] = i;
             }
         }
         let n = items.len();
@@ -240,17 +274,24 @@ impl<'a> Search<'a> {
             arena,
             items,
             domains,
-            ev: Evaluator::new(arena),
+            ev,
             assign,
             sat: vec![false; n],
             n_sat: 0,
             supports,
-            var_lits,
+            var_start,
+            var_items,
             seed_violated: Vec::new(),
         };
         s.recompute_all();
         s.seed_violated = (0..n).filter(|&i| !s.sat[i]).collect();
         s
+    }
+
+    /// Positions in `var_items` of the items depending on `var`.
+    fn items_of(&self, var: VarId) -> std::ops::Range<usize> {
+        let v = var.0 as usize;
+        self.var_start[v]..self.var_start[v + 1]
     }
 
     fn lit_holds(&mut self, i: usize) -> bool {
@@ -277,11 +318,8 @@ impl<'a> Search<'a> {
     /// Re-evaluates only the literals depending on `var`.
     fn update_var(&mut self, var: VarId) {
         self.ev.invalidate();
-        let lits = match self.var_lits.get(&var) {
-            Some(l) => l.clone(),
-            None => return,
-        };
-        for i in lits {
+        for k in self.items_of(var) {
+            let i = self.var_items[k];
             let h = self.lit_holds(i);
             if h != self.sat[i] {
                 self.sat[i] = h;
@@ -303,12 +341,11 @@ impl<'a> Search<'a> {
         self.assign[var.0 as usize] = value;
         self.ev.invalidate();
         let mut delta = 0i64;
-        if let Some(lits) = self.var_lits.get(&var) {
-            for i in lits.clone() {
-                let h = self.lit_holds(i);
-                if h != self.sat[i] {
-                    delta += if h { 1 } else { -1 };
-                }
+        for k in self.items_of(var) {
+            let i = self.var_items[k];
+            let h = self.lit_holds(i);
+            if h != self.sat[i] {
+                delta += if h { 1 } else { -1 };
             }
         }
         self.assign[var.0 as usize] = old;
@@ -327,6 +364,142 @@ impl<'a> Search<'a> {
         self.sat.iter().position(|s| !*s)
     }
 
+    /// Runs the search loop from the seed: a model, or `None` when the
+    /// set is refuted (flagged in `stats`) or the budget runs out.
+    fn run(mut self, cfg: &SolveCfg, stats: &mut SolveStats) -> Option<Vec<i64>> {
+        let arena = self.arena;
+        let n_items = self.items.len();
+        if self.n_sat == n_items {
+            return Some(self.assign);
+        }
+        // A constant-false item (empty support) can never be repaired.
+        for (i, sup) in self.supports.iter().enumerate() {
+            if sup.is_empty() && !self.sat[i] {
+                stats.refuted = true;
+                return None;
+            }
+        }
+
+        let mut rng = XorShift::new(cfg.seed);
+        let mut best = self.assign.clone();
+        let mut best_score = self.n_sat;
+        let mut since_improvement = 0usize;
+        let mut stalled = false;
+
+        for iter in 0..cfg.max_iters {
+            stats.iters = iter + 1;
+            let Some(unsat_idx) = self.first_unsat() else {
+                return Some(self.assign);
+            };
+            let item = self.items[unsat_idx];
+
+            // Phase 1: algebraic repair of the violated item — inversion
+            // of a literal, or snapping a range's expression to the
+            // nearest admissible value.
+            self.ev.invalidate();
+            let changed = match item {
+                Item::Lit(lit) => invert_lit(
+                    arena,
+                    lit.expr,
+                    lit.positive,
+                    &mut self.assign,
+                    &self.domains,
+                    &mut *self.ev,
+                    &mut rng,
+                ),
+                Item::Range(rc) => {
+                    let cur = self.ev.eval(arena, rc.expr, &self.assign);
+                    // Mostly snap from the current value; sometimes aim at
+                    // the observed witness to escape local minima.
+                    let target = if rng.below(4) == 0 {
+                        rc.snap(rc.observed)
+                    } else {
+                        rc.snap(cur)
+                    };
+                    target.and_then(|t| {
+                        invert_value(
+                            arena,
+                            rc.expr,
+                            t,
+                            &mut self.assign,
+                            &self.domains,
+                            &mut *self.ev,
+                        )
+                    })
+                }
+            };
+            if let Some(var) = changed {
+                stats.inversions += 1;
+                self.update_var(var);
+            }
+
+            // Phase 2: if the item is still violated, do a WalkSAT move
+            // on one of its support variables.
+            if !self.sat[unsat_idx] {
+                let support = &self.supports[unsat_idx];
+                if support.is_empty() {
+                    return None;
+                }
+                let var = support[rng.below(support.len())];
+                let info = self.domains[var.0 as usize];
+                let candidates = candidate_values(arena, item.expr(), &mut rng, info.lo, info.hi);
+                let mut best_v = None;
+                let mut best_delta = i64::MIN;
+                for cand in candidates {
+                    let d = self.probe(var, cand);
+                    if d > best_delta {
+                        best_delta = d;
+                        best_v = Some(cand);
+                    }
+                }
+                match best_v {
+                    Some(v) if best_delta > 0 || rng.below(4) != 0 => {
+                        // Greedy or sideways/noise move.
+                        self.set_var(var, v);
+                    }
+                    _ => {
+                        // Pure exploration.
+                        let v = rng.in_range(info.lo, info.hi);
+                        self.set_var(var, v);
+                    }
+                }
+            }
+
+            if self.n_sat == n_items {
+                return Some(self.assign);
+            }
+            if self.n_sat > best_score {
+                best_score = self.n_sat;
+                best = self.assign.clone();
+                since_improvement = 0;
+            } else {
+                // The first stall: try to prove the set UNSAT before
+                // grinding through the rest of the budget.
+                if !stalled {
+                    stalled = true;
+                    if self.refutes() {
+                        stats.refuted = true;
+                        return None;
+                    }
+                }
+                since_improvement += 1;
+                if since_improvement >= cfg.restart_after {
+                    stats.restarts += 1;
+                    since_improvement = 0;
+                    if rng.below(2) == 0 {
+                        self.assign = best.clone();
+                    } else {
+                        for (v, info) in self.assign.iter_mut().zip(&self.domains) {
+                            *v = rng.in_range(info.lo, info.hi);
+                        }
+                    }
+                    self.recompute_all();
+                }
+            }
+        }
+        None
+    }
+
     /// The stall proof: `true` only when no assignment within the
     /// propagated domains satisfies every item. It reads the seed's
     /// violated items, not the current assignment, restores `assign`,
@@ -335,7 +508,7 @@ impl<'a> Search<'a> {
     fn refutes(&mut self) -> bool {
         // 1. A literal expression asserted with both polarities: the
         //    seed violates one of the pair.
-        let opposites: HashSet<(ExprRef, bool)> = self
+        let opposites: FastSet<(ExprRef, bool)> = self
             .seed_violated
             .iter()
             .filter_map(|&i| match self.items[i] {
@@ -368,7 +541,7 @@ impl<'a> Search<'a> {
             if dom.hi as i128 - dom.lo as i128 >= PROOF_DOMAIN {
                 continue;
             }
-            let single: Vec<usize> = self.var_lits[&v]
+            let single: Vec<usize> = self.var_items[self.items_of(v)]
                 .iter()
                 .copied()
                 .filter(|&i| self.supports[i].len() == 1)
@@ -422,7 +595,7 @@ pub(crate) fn stall_proof_refutes(arena: &ExprArena, cs: &ConstraintSet, seed: &
         return false;
     };
     let init = clamped_seed(arena.n_vars(), &domains, Some(seed));
-    Search::new(arena, cs, domains, init, None).refutes()
+    Search::new(arena, cs, domains, init, None, &mut Evaluator::empty()).refutes()
 }
 
 /// Like [`solve`], also returning search statistics.
@@ -481,143 +654,11 @@ pub fn solve_with_stats_cached(
         stats.refuted = true;
         return (None, stats);
     }
-    let n_vars = arena.n_vars();
-    let init = clamped_seed(n_vars, &domains, seed_assign);
-    let n_items = cs.n_constraints();
-    let mut search = Search::new(arena, cs, domains, init, cache);
-    if search.n_sat == n_items {
-        return (Some(search.assign), stats);
-    }
-    // A constant-false item (empty support) can never be repaired.
-    for (i, sup) in search.supports.iter().enumerate() {
-        if sup.is_empty() && !search.sat[i] {
-            stats.refuted = true;
-            return (None, stats);
-        }
-    }
-
-    let mut rng = XorShift::new(cfg.seed);
-    let mut best = search.assign.clone();
-    let mut best_score = search.n_sat;
-    let mut since_improvement = 0usize;
-    let mut stalled = false;
-
-    for iter in 0..cfg.max_iters {
-        stats.iters = iter + 1;
-        let Some(unsat_idx) = search.first_unsat() else {
-            return (Some(search.assign), stats);
-        };
-        let item = search.items[unsat_idx];
-
-        // Phase 1: algebraic repair of the violated item — inversion of a
-        // literal, or snapping a range's expression to the nearest
-        // admissible value.
-        // The placeholder is swapped back before any use: don't size it.
-        let mut ev = std::mem::replace(&mut search.ev, Evaluator::empty());
-        ev.invalidate();
-        let changed = match item {
-            Item::Lit(lit) => invert_lit(
-                arena,
-                lit.expr,
-                lit.positive,
-                &mut search.assign,
-                &search.domains,
-                &mut ev,
-                &mut rng,
-            ),
-            Item::Range(rc) => {
-                let cur = ev.eval(arena, rc.expr, &search.assign);
-                // Mostly snap from the current value; sometimes aim at
-                // the observed witness to escape local minima.
-                let target = if rng.below(4) == 0 {
-                    rc.snap(rc.observed)
-                } else {
-                    rc.snap(cur)
-                };
-                target.and_then(|t| {
-                    invert_value(
-                        arena,
-                        rc.expr,
-                        t,
-                        &mut search.assign,
-                        &search.domains,
-                        &mut ev,
-                    )
-                })
-            }
-        };
-        search.ev = ev;
-        if let Some(var) = changed {
-            stats.inversions += 1;
-            search.update_var(var);
-        }
-
-        // Phase 2: if the item is still violated, do a WalkSAT move on
-        // one of its support variables.
-        if !search.sat[unsat_idx] {
-            let support = &search.supports[unsat_idx];
-            if support.is_empty() {
-                return (None, stats);
-            }
-            let var = support[rng.below(support.len())];
-            let info = search.domains[var.0 as usize];
-            let candidates = candidate_values(arena, item.expr(), &mut rng, info.lo, info.hi);
-            let mut best_v = None;
-            let mut best_delta = i64::MIN;
-            for cand in candidates {
-                let d = search.probe(var, cand);
-                if d > best_delta {
-                    best_delta = d;
-                    best_v = Some(cand);
-                }
-            }
-            match best_v {
-                Some(v) if best_delta > 0 || rng.below(4) != 0 => {
-                    // Greedy or sideways/noise move.
-                    search.set_var(var, v);
-                }
-                _ => {
-                    // Pure exploration.
-                    let v = rng.in_range(info.lo, info.hi);
-                    search.set_var(var, v);
-                }
-            }
-        }
-
-        if search.n_sat == n_items {
-            return (Some(search.assign), stats);
-        }
-        if search.n_sat > best_score {
-            best_score = search.n_sat;
-            best = search.assign.clone();
-            since_improvement = 0;
-        } else {
-            // The first stall: try to prove the set UNSAT before
-            // grinding through the rest of the budget.
-            if !stalled {
-                stalled = true;
-                if search.refutes() {
-                    stats.refuted = true;
-                    return (None, stats);
-                }
-            }
-            since_improvement += 1;
-            if since_improvement >= cfg.restart_after {
-                stats.restarts += 1;
-                since_improvement = 0;
-                if rng.below(2) == 0 {
-                    search.assign = best.clone();
-                } else {
-                    for i in 0..n_vars {
-                        let info = search.domains[i];
-                        search.assign[i] = rng.in_range(info.lo, info.hi);
-                    }
-                }
-                search.recompute_all();
-            }
-        }
-    }
-    (None, stats)
+    let init = clamped_seed(arena.n_vars(), &domains, seed_assign);
+    let model = EVALUATOR.with_borrow_mut(|ev| {
+        Search::new(arena, cs, domains, init, cache, ev).run(cfg, &mut stats)
+    });
+    (model, stats)
 }
 
 /// [`solve`], with the pin fallback: when a set carrying range
@@ -749,9 +790,9 @@ fn invert_lit(
         Node::Un(UnOp::Not, inner) => invert_lit(arena, inner, !positive, assign, domains, ev, rng),
         Node::Bin(op, lhs, rhs) if op.is_comparison() => {
             // Normalize to `sym REL const` when possible.
-            let (sym, cst, rel) = if arena.support(rhs).is_empty() {
+            let (sym, cst, rel) = if arena.is_concrete(rhs) {
                 (lhs, ev.eval(arena, rhs, assign), op)
-            } else if arena.support(lhs).is_empty() {
+            } else if arena.is_concrete(lhs) {
                 (rhs, ev.eval(arena, lhs, assign), op.swapped())
             } else {
                 // Both sides symbolic: invert the left against the right's
@@ -818,8 +859,8 @@ fn invert_value(
             _ => None,
         },
         Node::Bin(op, a, b) => {
-            let a_concrete = arena.support(a).is_empty();
-            let b_concrete = arena.support(b).is_empty();
+            let a_concrete = arena.is_concrete(a);
+            let b_concrete = arena.is_concrete(b);
             let va = ev.eval(arena, a, assign);
             let vb = ev.eval(arena, b, assign);
             match op {
@@ -838,10 +879,11 @@ fn invert_value(
                     }
                 }
                 Op::Mul => {
-                    if b_concrete && vb != 0 && target % vb == 0 {
-                        invert_value(arena, a, target / vb, assign, domains, ev)
-                    } else if a_concrete && va != 0 && target % va == 0 {
-                        invert_value(arena, b, target / va, assign, domains, ev)
+                    if let Some(q) = b_concrete.then(|| exact_quotient(target, vb)).flatten() {
+                        invert_value(arena, a, q, assign, domains, ev)
+                    } else if let Some(q) = a_concrete.then(|| exact_quotient(target, va)).flatten()
+                    {
+                        invert_value(arena, b, q, assign, domains, ev)
                     } else {
                         None
                     }
@@ -896,6 +938,16 @@ fn invert_value(
     }
 }
 
+/// `target / d` when `d` divides `target` exactly; `None` for a zero
+/// divisor, a remainder, or the one quotient that overflows
+/// (`i64::MIN / -1`).
+fn exact_quotient(target: i64, d: i64) -> Option<i64> {
+    match target.checked_rem(d) {
+        Some(0) => target.checked_div(d),
+        _ => None,
+    }
+}
+
 /// Mines candidate values for a variable from the constants appearing in
 /// a violated literal (plus neighbours and domain bounds).
 fn candidate_values(
@@ -907,14 +959,16 @@ fn candidate_values(
 ) -> Vec<i64> {
     let mut out = Vec::with_capacity(16);
     let mut stack = vec![expr];
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = FastSet::default();
     while let Some(r) = stack.pop() {
         if !seen.insert(r) || out.len() > 24 {
             continue;
         }
         match arena.node(r) {
             Node::Const(c) => {
-                for v in [c, c + 1, c - 1] {
+                // A neighbour past the i64 range is no candidate.
+                let neighbours = [Some(c), c.checked_add(1), c.checked_sub(1)];
+                for v in neighbours.into_iter().flatten() {
                     if v >= lo && v <= hi && !out.contains(&v) {
                         out.push(v);
                     }
@@ -1158,7 +1212,15 @@ mod tests {
         let sum = a.bin(Op::Add, v[0], v[1]);
         cs.push(lit(a.bin(Op::Gt, sum, c110), true));
         cs.push(lit(a.bin(Op::Eq, v[2], c48), false));
-        let mut search = Search::new(&a, &cs, a.var_infos().to_vec(), vec![48, 49, 48], None);
+        let mut ev = Evaluator::empty();
+        let mut search = Search::new(
+            &a,
+            &cs,
+            a.var_infos().to_vec(),
+            vec![48, 49, 48],
+            None,
+            &mut ev,
+        );
         let before = (search.assign.clone(), search.sat.clone(), search.n_sat);
         assert_eq!(search.seed_violated, vec![4, 5]);
         assert!(!search.refutes(), "the set is satisfiable (e.g. 57, 57, 0)");
@@ -1168,6 +1230,91 @@ mod tests {
         );
         search.recompute_all();
         assert_eq!((search.assign, search.sat, search.n_sat), before);
+    }
+
+    #[test]
+    fn mul_inversion_skips_the_overflowing_quotient() {
+        // `(x + i64::MAX) * -1 == i64::MIN` holds only at x = 1, where
+        // both operations wrap. Inverting the product would divide
+        // i64::MIN by -1.
+        let (mut a, v) = bytes(1);
+        let max = a.constant(i64::MAX);
+        let sum = a.bin(Op::Add, v[0], max);
+        let minus_one = a.constant(-1);
+        let product = a.bin(Op::Mul, sum, minus_one);
+        let min = a.constant(i64::MIN);
+        let mut cs = ConstraintSet::new();
+        cs.push(lit(a.bin(Op::Eq, product, min), true));
+        assert_eq!(assert_solves(&a, &cs, Some(&[0])), vec![1]);
+    }
+
+    #[test]
+    fn candidate_mining_skips_neighbours_past_the_i64_range() {
+        // `((x ^ i64::MAX) % 3) == 0`: mining i64::MAX must not step to
+        // i64::MAX + 1, which panics in debug builds and wraps in
+        // release ones.
+        let (mut a, v) = bytes(1);
+        let max = a.constant(i64::MAX);
+        let flipped = a.bin(Op::Xor, v[0], max);
+        let three = a.constant(3);
+        let rem = a.bin(Op::Rem, flipped, three);
+        let zero = a.constant(0);
+        let mut cs = ConstraintSet::new();
+        cs.push(lit(a.bin(Op::Eq, rem, zero), true));
+        assert_eq!(
+            solve(&a, &cs, Some(&[0]), &SolveCfg::default()),
+            Some(vec![1])
+        );
+    }
+
+    #[test]
+    fn reused_evaluator_matches_fresh_threads() {
+        // A large arena: 48 byte equalities and pairwise sums the seed
+        // violates, next to a 20k-node chain no literal reads.
+        let (mut big, v) = bytes(48);
+        let want = |i: usize| (i as i64 * 37) % 200;
+        let mut big_cs = ConstraintSet::new();
+        for (i, x) in v.iter().enumerate() {
+            let c = big.constant(want(i));
+            big_cs.push(lit(big.bin(Op::Eq, *x, c), true));
+        }
+        for i in (0..48).step_by(2) {
+            let sum = big.bin(Op::Add, v[i], v[i + 1]);
+            let c = big.constant(want(i) + want(i + 1) - 5);
+            big_cs.push(lit(big.bin(Op::Gt, sum, c), true));
+        }
+        let mut e = v[0];
+        for _ in 0..20_000 {
+            let one = big.constant(1);
+            e = big.bin(Op::Add, e, one);
+        }
+        let big_seed = vec![7; 48];
+        // A small arena whose handles overlap the large one's.
+        let (mut small, w) = bytes(2);
+        let ten = small.constant(10);
+        let t = small.bin(Op::Mul, w[0], ten);
+        let sum = small.bin(Op::Add, t, w[1]);
+        let c = small.constant(123);
+        let mut small_cs = ConstraintSet::new();
+        small_cs.push(lit(small.bin(Op::Eq, sum, c), true));
+        let small_seed = vec![0, 0];
+
+        let jobs = [
+            (&big, &big_cs, &big_seed),
+            (&small, &small_cs, &small_seed),
+            (&big, &big_cs, &big_seed),
+        ];
+        let run = |(a, cs, seed): (&ExprArena, &ConstraintSet, &Vec<i64>)| {
+            solve_with_stats(a, cs, Some(seed), &SolveCfg::default())
+        };
+        let same_thread: Vec<_> = jobs.iter().map(|j| run(*j)).collect();
+        let fresh_threads: Vec<_> = jobs
+            .iter()
+            .map(|j| std::thread::scope(|s| s.spawn(|| run(*j)).join().expect("solve thread")))
+            .collect();
+        assert_eq!(same_thread, fresh_threads);
+        assert!(same_thread.iter().all(|(m, _)| m.is_some()));
+        assert!(same_thread[0].1.iters > 1, "the large set needs a search");
     }
 
     #[test]
