@@ -247,7 +247,7 @@ pub fn analysis_summary(name: &str, bundle: &AnalysisBundle) -> String {
         bundle.coverage_pct(),
         bundle.dyn_result.runs,
         bundle.dyn_result.solver_calls,
-        bundle.dyn_result.solver_sat,
+        bundle.dyn_result.frontier.solved_sat,
         bundle.dyn_result.crashes.len(),
         bundle.dyn_result.frontier.summary(),
     )

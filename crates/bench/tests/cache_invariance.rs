@@ -83,7 +83,7 @@ fn observe_analysis(
     let d = wb.analyze(24).dyn_result;
     (
         (
-            (d.runs, d.solver_calls, d.solver_sat),
+            (d.runs, d.solver_calls, d.frontier.solved_sat as usize),
             (d.arena_nodes, d.total_instrs),
             d.crashes
                 .iter()

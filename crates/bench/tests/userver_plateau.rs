@@ -46,7 +46,7 @@ fn explorer_policy_breaks_the_coverage_plateau() {
         "the frontier must keep feeding runs"
     );
     assert!(
-        improved.dyn_result.solver_sat > 0,
+        improved.dyn_result.frontier.solved_sat > 0,
         "breadth-mixed pops reach solvable (shallow) negations"
     );
 }

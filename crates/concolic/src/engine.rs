@@ -21,10 +21,9 @@ use minic::memory::pack;
 use minic::vm::{CrashInfo, RunOutcome, Vm};
 use minic::CompiledProgram;
 use oskit::{Kernel, KernelConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use search::{Frontier, FrontierStats, PrefixSigs, SearchLimits, SearchPolicy};
-use solver::{mix_seed, ConstraintSet, ExprArena, FastMap, Lit, PrefixCache, SolveCfg, VarId};
+use search::driver::{self, End, GuidedEngine};
+use search::{seeded_assignment, Frontier, PrefixSigs, SearchCounters, SearchLimits};
+use solver::{ConstraintSet, ExprArena, FastMap, Lit, PrefixCache, SolveCfg, VarId};
 
 /// Exploration budget. `max_runs` is the primary (deterministic) knob —
 /// the LC/HC axis of the paper; the others are safety caps. The shared
@@ -77,26 +76,6 @@ impl From<SearchLimits> for Budget {
 impl From<Budget> for SearchLimits {
     fn from(b: Budget) -> Self {
         b.limits
-    }
-}
-
-impl Budget {
-    /// Sets the run cap.
-    #[deprecated(note = "write `budget.max_runs` (via SearchLimits) directly")]
-    pub fn set_max_runs(&mut self, n: usize) {
-        self.limits.max_runs = n;
-    }
-
-    /// Sets the worker count.
-    #[deprecated(note = "write `budget.workers` (via SearchLimits) directly")]
-    pub fn set_workers(&mut self, n: usize) {
-        self.limits.workers = n;
-    }
-
-    /// Sets the scheduling policy.
-    #[deprecated(note = "write `budget.policy` (via SearchLimits) directly")]
-    pub fn set_policy(&mut self, policy: SearchPolicy) {
-        self.limits.policy = policy;
     }
 }
 
@@ -165,18 +144,16 @@ pub struct FoundCrash {
     pub assignment: Vec<i64>,
 }
 
-/// The output of [`Engine::analyze`].
+/// The output of [`Engine::analyze`]. The search counters shared with
+/// replay live in [`SearchCounters`], embedded behind `Deref`, so
+/// `result.runs` and friends read as plain fields.
 pub struct AnalysisResult {
     /// Merged branch labels (the dynamic method instruments `Symbolic`).
     pub labels: LabelMap,
     /// Merged execution profile.
     pub profile: Profile,
-    /// Number of runs performed.
-    pub runs: usize,
-    /// Number of solver invocations.
-    pub solver_calls: usize,
-    /// Solver calls that found a model.
-    pub solver_sat: usize,
+    /// Runs, solver calls, cache ledger and frontier counters.
+    pub counters: SearchCounters,
     /// Crashes discovered.
     pub crashes: Vec<FoundCrash>,
     /// Expression-arena size at the end (diagnostics).
@@ -189,42 +166,24 @@ pub struct AnalysisResult {
     pub concretization_ranges: u64,
     /// Concretizations that used (or fell back at emission to) the pin.
     pub concretization_pins: u64,
-    /// Solver calls that retried with the hard-pinned variant after the
-    /// bounded form went unsolved.
-    pub pin_fallbacks: u64,
-    /// Committed solver calls that started from a cached path prefix.
-    pub cache_hits: u64,
-    /// Committed solver calls that found no cached prefix (including all
-    /// calls with the prefix cache disabled).
-    pub cache_misses: u64,
-    /// Total literals skipped via cached prefixes across all hits.
-    pub prefix_len_saved: u64,
     /// True when exploration stopped because the frontier drained with
     /// run budget left (and the policy did not restart).
     pub exhausted: bool,
     /// True when the wall-clock cap expired (including mid-solve).
     pub timed_out: bool,
-    /// Frontier scheduling counters.
-    pub frontier: FrontierStats,
+}
+
+impl std::ops::Deref for AnalysisResult {
+    type Target = SearchCounters;
+    fn deref(&self) -> &SearchCounters {
+        &self.counters
+    }
 }
 
 /// The concolic engine for one program + input shape.
 pub struct Engine<'p> {
     cp: &'p CompiledProgram,
     cfg: SessionConfig,
-}
-
-/// A seeded random printable-byte assignment of length `n` — the initial
-/// candidate shape both engines use.
-pub fn seeded_assignment(n: usize, seed: u64) -> Vec<i64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen_range(0x20..0x7f) as i64).collect()
-}
-
-/// The derived seed for the `r`-th drain restart of a session seeded
-/// with `seed`.
-pub fn restart_seed(seed: u64, r: u64) -> u64 {
-    mix_seed(seed, r)
 }
 
 /// Marks every symbolic argv byte of a prepared VM with its variable.
@@ -250,14 +209,6 @@ impl<'p> Engine<'p> {
     /// The initial (seeded random, printable) controllable assignment.
     pub fn initial_assignment(&self) -> Vec<i64> {
         seeded_assignment(self.cfg.spec.n_symbolic_bytes(), self.cfg.seed)
-    }
-
-    /// A fresh seeded assignment for the `r`-th drain restart.
-    fn restart_assignment(&self, r: u64) -> Vec<i64> {
-        seeded_assignment(
-            self.cfg.spec.n_symbolic_bytes(),
-            restart_seed(self.cfg.seed, r),
-        )
     }
 
     /// Executes one concolic run under `assignment`, threading the arena
@@ -305,36 +256,97 @@ impl<'p> Engine<'p> {
         self.run_once(arena, &vars, &assignment)
     }
 
-    /// Full exploration: runs until the budget is exhausted or no
-    /// unexplored pending constraint set remains.
-    ///
-    /// `budget.workers <= 1` runs the fully serial engine; larger values
-    /// shard the candidate search across that many worker threads with
-    /// speculative solving committed strictly in pop order, so the
-    /// result is worker-count invariant (see the replay engine's
-    /// parallel protocol — this is the same, minus forced-set repair).
+    /// Full exploration on the shared round loop
+    /// ([`search::driver::drive`]): runs until the budget is exhausted
+    /// or no unexplored pending constraint set remains. The result is
+    /// identical for every `budget.workers`.
     pub fn analyze(&self) -> AnalysisResult {
-        if self.cfg.budget.workers <= 1 {
-            self.analyze_serial()
-        } else {
-            self.analyze_parallel()
+        let mut arena = ExprArena::new();
+        let vars = InputVars::alloc(&mut arena, &self.cfg.spec);
+        let mut analysis = Analysis {
+            engine: self,
+            vars,
+            labels: LabelMap::new(self.cp.n_branches()),
+            profile: Profile::new(self.cp.n_branches()),
+            crashes: Vec::new(),
+            total_instrs: 0,
+            concretizations: 0,
+            concretization_ranges: 0,
+            concretization_pins: 0,
+        };
+        let finish = driver::drive(
+            &mut analysis,
+            &self.cfg.budget.limits,
+            self.cfg.seed,
+            &self.cfg.solve,
+            arena,
+            self.initial_assignment(),
+        );
+        AnalysisResult {
+            labels: analysis.labels,
+            profile: analysis.profile,
+            counters: finish.counters,
+            crashes: analysis.crashes,
+            arena_nodes: finish.arena_nodes,
+            total_instrs: analysis.total_instrs,
+            concretizations: analysis.concretizations,
+            concretization_ranges: analysis.concretization_ranges,
+            concretization_pins: analysis.concretization_pins,
+            exhausted: finish.end == End::Drained,
+            timed_out: finish.end == End::Wall,
+        }
+    }
+}
+
+/// The commit side of one analysis session: the merged labels, profile
+/// and crashes the driver's runs add up to.
+struct Analysis<'e, 'p> {
+    engine: &'e Engine<'p>,
+    vars: InputVars,
+    labels: LabelMap,
+    profile: Profile,
+    crashes: Vec<FoundCrash>,
+    total_instrs: u64,
+    concretizations: u64,
+    concretization_ranges: u64,
+    concretization_pins: u64,
+}
+
+impl GuidedEngine for Analysis<'_, '_> {
+    type Run = RunRecord;
+
+    fn exec_run(&self, arena: ExprArena, assignment: &[i64]) -> (RunRecord, ExprArena) {
+        self.engine.run_once(arena, &self.vars, assignment)
+    }
+
+    fn observe(&mut self, record: &RunRecord, assignment: &[i64]) {
+        self.labels.merge(&record.labels);
+        self.profile.merge(&record.profile);
+        self.total_instrs += record.meter.instrs;
+        self.concretizations += record.concretizations;
+        self.concretization_ranges += record.concretization_ranges;
+        self.concretization_pins += record.concretization_pins;
+        if let RunOutcome::Crashed(info) = &record.outcome {
+            // A solved assignment is the whole model; the crash keeps
+            // its controllable input.
+            self.crashes.push(FoundCrash {
+                info: info.clone(),
+                argv: record.argv.clone(),
+                assignment: assignment[..self.vars.n_controllable as usize].to_vec(),
+            });
         }
     }
 
-    /// Banks one finished run into the frontier: substitutes the run's
-    /// nondeterminism into the path condition, then offers negated
-    /// branch literals in the strategy's order (caps, quotas and dedup
-    /// live in the frontier). Mutates the arena (substitution interns
-    /// new expressions) and is the prefix cache's single writer, so the
-    /// parallel engine calls it only between speculative phases.
-    fn bank_offers(
-        &self,
+    /// Substitutes the run's nondeterminism into the path condition, then
+    /// offers negated branch literals in the strategy's order (caps,
+    /// quotas and dedup live in the frontier).
+    fn bank(
+        &mut self,
         record: &RunRecord,
         assignment: &[i64],
-        vars: &InputVars,
         arena: &mut ExprArena,
         frontier: &mut Frontier,
-        cache: &mut PrefixCache,
+        cache: Option<&mut PrefixCache>,
     ) {
         let pin: FastMap<VarId, i64> = record.nondet.iter().copied().collect();
         let exprs: Vec<_> = record.path.iter().map(|s| s.lit.expr).collect();
@@ -368,7 +380,7 @@ impl<'p> Engine<'p> {
         // This run executed, so every literal of its (substituted) path
         // condition held: register the satisfied prefixes so candidates
         // that share one can skip straight to the divergent suffix.
-        if self.cfg.budget.prefix_cache {
+        if let Some(cache) = cache {
             let reg_lits: Vec<Lit> = substituted
                 .iter()
                 .enumerate()
@@ -384,14 +396,9 @@ impl<'p> Engine<'p> {
         // hashed from the path before any is built: only the few the
         // frontier accepts pay for their O(depth) prefix copy.
         let sigs = PrefixSigs::new(substituted.iter().copied().zip(ranges.iter().copied()));
-        let seed_controllables = &assignment[..vars.n_controllable as usize];
+        let seed_controllables = &assignment[..self.vars.n_controllable as usize];
         frontier.begin_run();
-        let order = self
-            .cfg
-            .budget
-            .policy
-            .strategy
-            .offer_order(substituted.len());
+        let order = frontier.policy().strategy.offer_order(substituted.len());
         for i in order {
             if frontier.run_full() {
                 break;
@@ -421,384 +428,6 @@ impl<'p> Engine<'p> {
             });
         }
         frontier.end_run();
-    }
-
-    fn analyze_serial(&self) -> AnalysisResult {
-        let start = std::time::Instant::now();
-        let mut arena = ExprArena::new();
-        let vars = InputVars::alloc(&mut arena, &self.cfg.spec);
-        let mut labels = LabelMap::new(self.cp.n_branches());
-        let mut profile = Profile::new(self.cp.n_branches());
-        let mut crashes = Vec::new();
-        let mut solver_calls = 0usize;
-        let mut solver_sat = 0usize;
-        let mut total_instrs = 0u64;
-        let mut concretizations = 0u64;
-        let mut concretization_ranges = 0u64;
-        let mut concretization_pins = 0u64;
-        let mut pin_fallbacks = 0u64;
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        let mut prefix_len_saved = 0u64;
-        let mut pcache = PrefixCache::new();
-
-        let mut assignment = self.initial_assignment();
-        let mut frontier = Frontier::new(
-            self.cfg.budget.policy.clone(),
-            self.cfg.budget.max_pendings_per_run,
-            self.cfg.budget.max_pending_lits,
-        );
-        let mut runs = 0usize;
-        let mut exhausted = false;
-        let mut timed_out = false;
-        let wall_expired = |start: &std::time::Instant| {
-            self.cfg.budget.max_wall_ms > 0
-                && start.elapsed().as_millis() as u64 > self.cfg.budget.max_wall_ms
-        };
-
-        'explore: loop {
-            let (record, arena_back) = self.run_once(arena, &vars, &assignment);
-            arena = arena_back;
-            labels.merge(&record.labels);
-            profile.merge(&record.profile);
-            total_instrs += record.meter.instrs;
-            concretizations += record.concretizations;
-            concretization_ranges += record.concretization_ranges;
-            concretization_pins += record.concretization_pins;
-            if let RunOutcome::Crashed(info) = &record.outcome {
-                crashes.push(FoundCrash {
-                    info: info.clone(),
-                    argv: record.argv.clone(),
-                    assignment: assignment.clone(),
-                });
-            }
-            runs += 1;
-            if runs >= self.cfg.budget.max_runs {
-                break;
-            }
-            if wall_expired(&start) {
-                timed_out = true;
-                break;
-            }
-
-            // Schedule pending sets: substitute this run's nondeterminism,
-            // then negate branch literals in the strategy's offer order
-            // (caps, quotas and dedup live in the frontier).
-            self.bank_offers(
-                &record,
-                &assignment,
-                &vars,
-                &mut arena,
-                &mut frontier,
-                &mut pcache,
-            );
-            arena.freeze();
-
-            // Solve pending sets in the frontier's order until one is
-            // satisfiable; sets with range constraints retry pinned when
-            // the bounded form goes unsolved.
-            let mut next: Option<Vec<i64>> = None;
-            while let Some(pending) = frontier.pop() {
-                solver_calls += 1;
-                let cfg = SolveCfg {
-                    seed: mix_seed(self.cfg.seed, solver_calls as u64),
-                    ..self.cfg.solve.clone()
-                };
-                let sig = pending.sig;
-                let (model, sstats) = solver::solve_or_pin_ro_cached(
-                    &arena,
-                    &pending.cs,
-                    Some(&pending.seed),
-                    &cfg,
-                    self.cfg.budget.prefix_cache.then_some(&pcache),
-                );
-                if sstats.pin_fallback {
-                    pin_fallbacks += 1;
-                }
-                if sstats.prefix_hit {
-                    cache_hits += 1;
-                } else {
-                    cache_misses += 1;
-                }
-                prefix_len_saved += sstats.prefix_lits_saved;
-                if let Some(model) = model {
-                    solver_sat += 1;
-                    frontier.note_solved_sig(sig, true);
-                    next = Some(model[..vars.n_controllable as usize].to_vec());
-                    break;
-                }
-                frontier.note_unsat_sig(sig, sstats.refuted);
-                if wall_expired(&start) {
-                    timed_out = true;
-                    break;
-                }
-            }
-            match next {
-                Some(model) => assignment = model,
-                None => {
-                    if timed_out {
-                        break;
-                    }
-                    // Frontier drained before the run budget: restart from
-                    // a fresh seed if the policy allows, else we are done.
-                    if self.cfg.budget.policy.restart_on_drain && frontier.ever_scheduled() {
-                        let r = frontier.stats().restarts;
-                        frontier.note_restart();
-                        assignment = self.restart_assignment(r);
-                        continue 'explore;
-                    }
-                    exhausted = true;
-                    break;
-                }
-            }
-        }
-
-        AnalysisResult {
-            labels,
-            profile,
-            runs,
-            solver_calls,
-            solver_sat,
-            crashes,
-            arena_nodes: arena.len(),
-            total_instrs,
-            concretizations,
-            concretization_ranges,
-            concretization_pins,
-            pin_fallbacks,
-            cache_hits,
-            cache_misses,
-            prefix_len_saved,
-            exhausted,
-            timed_out,
-            frontier: frontier.into_stats(),
-        }
-    }
-
-    /// The parallel analysis engine: `workers` threads speculatively
-    /// solve pending sets popped from the shared frontier (and replay
-    /// SAT models on their own `minic::Vm` over private arena clones),
-    /// with verdicts committed serially in pop order — the same protocol
-    /// as the replay engine's, minus forced-set repair. The committed
-    /// decision sequence is exactly the serial engine's, so the analysis
-    /// result is worker-count invariant.
-    fn analyze_parallel(&self) -> AnalysisResult {
-        let workers = self.cfg.budget.workers;
-        let start = std::time::Instant::now();
-        let mut arena = ExprArena::new();
-        let vars = InputVars::alloc(&mut arena, &self.cfg.spec);
-        let mut labels = LabelMap::new(self.cp.n_branches());
-        let mut profile = Profile::new(self.cp.n_branches());
-        let mut crashes = Vec::new();
-        let mut solver_calls = 0usize;
-        let mut solver_sat = 0usize;
-        let mut total_instrs = 0u64;
-        let mut concretizations = 0u64;
-        let mut concretization_ranges = 0u64;
-        let mut concretization_pins = 0u64;
-        let mut pin_fallbacks = 0u64;
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        let mut prefix_len_saved = 0u64;
-        let mut pcache = PrefixCache::new();
-
-        let mut assignment = self.initial_assignment();
-        let mut frontier = Frontier::new(
-            self.cfg.budget.policy.clone(),
-            self.cfg.budget.max_pendings_per_run,
-            self.cfg.budget.max_pending_lits,
-        );
-        let mut runs = 0usize;
-        let mut exhausted = false;
-        let mut timed_out = false;
-        let wall_expired = |start: &std::time::Instant| {
-            self.cfg.budget.max_wall_ms > 0
-                && start.elapsed().as_millis() as u64 > self.cfg.budget.max_wall_ms
-        };
-
-        // A run produced by a winning speculative solve job, carried
-        // into the next round with the model that drove it.
-        let mut staged: Option<(RunRecord, Vec<i64>)> = None;
-        'explore: loop {
-            let record = match staged.take() {
-                Some((record, model)) => {
-                    assignment = model;
-                    record
-                }
-                None => {
-                    let (record, arena_back) = self.run_once(arena, &vars, &assignment);
-                    arena = arena_back;
-                    record
-                }
-            };
-            labels.merge(&record.labels);
-            profile.merge(&record.profile);
-            total_instrs += record.meter.instrs;
-            concretizations += record.concretizations;
-            concretization_ranges += record.concretization_ranges;
-            concretization_pins += record.concretization_pins;
-            if let RunOutcome::Crashed(info) = &record.outcome {
-                crashes.push(FoundCrash {
-                    info: info.clone(),
-                    argv: record.argv.clone(),
-                    assignment: assignment.clone(),
-                });
-            }
-            runs += 1;
-            if runs >= self.cfg.budget.max_runs {
-                break;
-            }
-            if wall_expired(&start) {
-                timed_out = true;
-                break;
-            }
-
-            // Bank this run's offers (serial; mutates the arena and the
-            // prefix cache, so it happens strictly between speculative
-            // phases — workers only ever read a frozen cache state).
-            self.bank_offers(
-                &record,
-                &assignment,
-                &vars,
-                &mut arena,
-                &mut frontier,
-                &mut pcache,
-            );
-            // Freeze the central generation: worker-side clones (solve
-            // scratch and speculative run arenas) now share the prefix
-            // instead of deep-copying it.
-            arena.freeze();
-
-            // Speculative solve streak.
-            'streak: loop {
-                if !timed_out {
-                    let batch = frontier.pop_batch(workers);
-                    if !batch.is_empty() {
-                        // Parallel phase against the frozen central
-                        // arena; seeds are pre-assigned by commit index
-                        // so committed verdicts match the serial
-                        // engine's.
-                        let base_calls = solver_calls;
-                        let base_nodes = arena.len();
-                        let arena_ref = &arena;
-                        let cache_ref = self.cfg.budget.prefix_cache.then_some(&pcache);
-                        let jobs: Vec<(ConstraintSet, Vec<i64>)> = batch
-                            .iter()
-                            .map(|p| (p.set.cs.clone(), p.set.seed.clone()))
-                            .collect();
-                        let phase = search::pool::parallel_map(workers, jobs, |i, (cs, seed)| {
-                            let scfg = SolveCfg {
-                                seed: mix_seed(self.cfg.seed, (base_calls + i + 1) as u64),
-                                ..self.cfg.solve.clone()
-                            };
-                            let (model, sstats) = solver::solve_or_pin_ro_cached(
-                                arena_ref,
-                                &cs,
-                                Some(&seed),
-                                &scfg,
-                                cache_ref,
-                            );
-                            let run = model.as_ref().map(|m| {
-                                let ctrl = m[..vars.n_controllable as usize].to_vec();
-                                let (rec, job_arena) =
-                                    self.run_once(arena_ref.clone(), &vars, &ctrl);
-                                (rec, job_arena, ctrl)
-                            });
-                            (model.is_some(), sstats, run)
-                        });
-                        frontier.note_worker_runs(&phase.worker_counts);
-
-                        // Commit phase: verdicts strictly in pop order.
-                        let mut pops = batch.into_iter();
-                        let mut outs = phase.results.into_iter();
-                        while let Some(pop) = pops.next() {
-                            let (sat, sstats, spec_run) =
-                                outs.next().expect("one verdict per popped set");
-                            solver_calls += 1;
-                            if sstats.pin_fallback {
-                                pin_fallbacks += 1;
-                            }
-                            if sstats.prefix_hit {
-                                cache_hits += 1;
-                            } else {
-                                cache_misses += 1;
-                            }
-                            prefix_len_saved += sstats.prefix_lits_saved;
-                            let sig = pop.set.sig;
-                            if sat {
-                                solver_sat += 1;
-                                frontier.note_solved_sig(sig, true);
-                                frontier.restore(pops.collect());
-                                let (mut rec, job_arena, ctrl) =
-                                    spec_run.expect("every SAT job carries its run");
-                                // Import the worker's expressions and
-                                // retarget the path at the central ids.
-                                let mut roots = Vec::with_capacity(rec.path.len() * 2);
-                                for st in &rec.path {
-                                    roots.push(st.lit.expr);
-                                    if let Some(rc) = &st.range {
-                                        roots.push(rc.expr);
-                                    }
-                                }
-                                let mapped = arena.absorb(&job_arena, base_nodes, &roots);
-                                let mut mapped = mapped.into_iter();
-                                for st in &mut rec.path {
-                                    st.lit.expr = mapped.next().expect("mapped root");
-                                    if let Some(rc) = &mut st.range {
-                                        rc.expr = mapped.next().expect("mapped root");
-                                    }
-                                }
-                                staged = Some((rec, ctrl));
-                                break 'streak;
-                            }
-                            frontier.note_unsat_sig(sig, sstats.refuted);
-                            if wall_expired(&start) {
-                                timed_out = true;
-                                frontier.restore(pops.collect());
-                                continue 'streak;
-                            }
-                        }
-                        continue 'streak;
-                    }
-                }
-
-                // ---- drained (or timed out mid-streak) --------------------
-                if timed_out {
-                    break 'explore;
-                }
-                // Frontier drained before the run budget: restart from
-                // a fresh seed if the policy allows, else we are done.
-                if self.cfg.budget.policy.restart_on_drain && frontier.ever_scheduled() {
-                    let r = frontier.stats().restarts;
-                    frontier.note_restart();
-                    assignment = self.restart_assignment(r);
-                    break 'streak;
-                }
-                exhausted = true;
-                break 'explore;
-            }
-        }
-
-        AnalysisResult {
-            labels,
-            profile,
-            runs,
-            solver_calls,
-            solver_sat,
-            crashes,
-            arena_nodes: arena.len(),
-            total_instrs,
-            concretizations,
-            concretization_ranges,
-            concretization_pins,
-            pin_fallbacks,
-            cache_hits,
-            cache_misses,
-            prefix_len_saved,
-            exhausted,
-            timed_out,
-            frontier: frontier.into_stats(),
-        }
     }
 }
 
@@ -830,7 +459,7 @@ mod tests {
         // Both directions need at least two runs; the branch is symbolic.
         assert!(r.runs >= 2);
         assert_eq!(r.labels.count(BranchLabel::Symbolic), 1);
-        assert!(r.solver_sat >= 1);
+        assert!(r.frontier.solved_sat >= 1);
     }
 
     #[test]
@@ -1010,16 +639,21 @@ mod tests {
                 0,
                 "breadth-mixed search still reaches every branch"
             );
-            (r.runs, r.solver_calls, r.solver_sat, r.frontier.clone())
+            (
+                r.runs,
+                r.solver_calls,
+                r.frontier.solved_sat,
+                r.frontier.clone(),
+            )
         };
         assert_eq!(run(), run());
     }
 
     #[test]
     fn analysis_is_worker_count_invariant() {
-        // The parallel engine commits speculative verdicts strictly in
-        // pop order and absorbs the winning worker's arena back into the
-        // central numbering, so the whole analysis — run/solver counts,
+        // The driver commits speculative verdicts strictly in pop order
+        // and adopts the winning job's arena as the central one, so the
+        // whole analysis — run/solver counts,
         // the ordered (signature, verdict) stream, the final arena size,
         // the profile, even the crash list — is bit-identical for every
         // worker count.
@@ -1047,7 +681,7 @@ mod tests {
             (
                 r.runs,
                 r.solver_calls,
-                r.solver_sat,
+                r.frontier.solved_sat,
                 r.arena_nodes,
                 r.frontier.solved_sigs.clone(),
                 r.profile.total_execs(),
@@ -1093,7 +727,7 @@ mod tests {
                 (
                     r.runs,
                     r.solver_calls,
-                    r.solver_sat,
+                    r.frontier.solved_sat,
                     r.arena_nodes,
                     r.frontier.solved_sigs.clone(),
                     r.profile.total_execs(),

@@ -16,8 +16,7 @@ pub mod label;
 pub mod shadow;
 
 pub use engine::{
-    mark_argv_symbolic, restart_seed, seeded_assignment, AnalysisResult, Budget, Engine,
-    FoundCrash, RunRecord, SessionConfig,
+    mark_argv_symbolic, AnalysisResult, Budget, Engine, FoundCrash, RunRecord, SessionConfig,
 };
 pub use input::{realize, ArgSpec, ClientSpec, FileSpec, InputSpec, InputVars};
 pub use label::{BranchLabel, LabelMap, Profile};

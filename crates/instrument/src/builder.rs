@@ -1,13 +1,13 @@
 //! [`PlanBuilder`]: the one front door for constructing instrumentation
 //! plans.
 //!
-//! The previous API grew by accretion: `Plan::build` then
-//! `.with_suppression(..)` then `.with_cursor_opt_in(..)` then
-//! `.with_format(..)`, in whatever order the call site happened to pick
-//! — and the order mattered (cursor opt-in inspects the *suppressed*
-//! plan; a format override before opt-in gets silently overwritten).
-//! The builder takes the same ingredients declaratively and applies
-//! them in one fixed order:
+//! A plan is assembled from several ingredients — the method and the
+//! analyses' labels, implication suppression, the combined row's cursor
+//! opt-in, a format override, escalation hints — and the order in which
+//! they apply matters: the cursor opt-in inspects the *suppressed* plan,
+//! and a format override must win over the opt-in heuristic. The builder
+//! takes the ingredients declaratively and applies them in one fixed
+//! order:
 //!
 //! 1. base plan from method + analysis labels (§2.3 rules),
 //! 2. implication suppression,
@@ -83,8 +83,11 @@ impl<'a> PlanBuilder<'a> {
         self
     }
 
-    /// Applies implication suppression from `staticax`'s analysis (see
-    /// the deprecated `Plan::with_suppression` for semantics).
+    /// Applies implication suppression from `staticax`'s analysis: each
+    /// `(b, by, negated)` whose branch `b` and implier `by` are both in
+    /// the base logged set moves `b` out of the logged set (see
+    /// [`Plan::suppresses`]). Impliers outside the base set are ignored,
+    /// so every suppressed bit stays reconstructible at replay.
     pub fn suppress<I>(mut self, implications: I) -> Self
     where
         I: IntoIterator<Item = (BranchId, BranchId, bool)>,
@@ -154,18 +157,6 @@ mod tests {
                 func: func.to_string(),
             })
             .collect()
-    }
-
-    #[test]
-    fn builder_matches_the_legacy_chain() {
-        #![allow(deprecated)]
-        let (d, s) = labels();
-        let implications = [(BranchId(2), BranchId(0), false)];
-        let legacy = Plan::build(Method::Static, &d, &s, 6).with_suppression(implications);
-        let built = PlanBuilder::new(Method::Static, &d, &s, 6)
-            .suppress(implications)
-            .build();
-        assert_eq!(legacy, built);
     }
 
     #[test]

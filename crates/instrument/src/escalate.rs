@@ -218,20 +218,22 @@ pub fn escalate(parent: &Plan, hints: &EscalationHints, clusters: &[LiteralClust
 mod tests {
     use super::*;
     use crate::plan::{DynLabel, Method, Suppressed};
+    use crate::PlanBuilder;
     use minic::BranchId;
+
+    const DYNAMIC: [DynLabel; 6] = [
+        DynLabel::Symbolic,
+        DynLabel::Symbolic,
+        DynLabel::Concrete,
+        DynLabel::Concrete,
+        DynLabel::Unvisited,
+        DynLabel::Unvisited,
+    ];
+    const STATIC: [bool; 6] = [true, false, true, false, true, false];
 
     fn base_plan() -> Plan {
         // 6 branches, combined method logging {0, 1, 4}.
-        let d = vec![
-            DynLabel::Symbolic,
-            DynLabel::Symbolic,
-            DynLabel::Concrete,
-            DynLabel::Concrete,
-            DynLabel::Unvisited,
-            DynLabel::Unvisited,
-        ];
-        let s = vec![true, false, true, false, true, false];
-        Plan::build(Method::DynamicStatic, &d, &s, 6)
+        Plan::build(Method::DynamicStatic, &DYNAMIC, &STATIC, 6)
     }
 
     #[test]
@@ -286,8 +288,9 @@ mod tests {
 
     #[test]
     fn hot_suppressed_branch_is_logged_directly_again() {
-        #[allow(deprecated)]
-        let p = base_plan().with_suppression([(BranchId(4), BranchId(0), false)]);
+        let p = PlanBuilder::new(Method::DynamicStatic, &DYNAMIC, &STATIC, 6)
+            .suppress([(BranchId(4), BranchId(0), false)])
+            .build();
         assert_eq!(
             p.suppresses(BranchId(4)),
             Some(Suppressed {

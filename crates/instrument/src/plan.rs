@@ -210,20 +210,6 @@ impl Plan {
     /// along a chain that bottoms out in a logged branch — strict
     /// dominance makes chains acyclic), so replay loses no divergence
     /// signal and run counts cannot get worse.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PlanBuilder::suppress` — the builder applies suppression, \
-                cursor opt-in and escalation in a fixed, footgun-free order"
-    )]
-    pub fn with_suppression<I>(self, implications: I) -> Plan
-    where
-        I: IntoIterator<Item = (BranchId, BranchId, bool)>,
-    {
-        self.apply_suppression(implications)
-    }
-
-    /// Internal suppression applier shared by the deprecated
-    /// [`Plan::with_suppression`] shim and [`crate::PlanBuilder`].
     pub(crate) fn apply_suppression<I>(mut self, implications: I) -> Plan
     where
         I: IntoIterator<Item = (BranchId, BranchId, bool)>,
@@ -296,20 +282,6 @@ impl Plan {
     /// instrumented loop cluster), keep the flat format — bit for bit —
     /// everywhere else. Fully-logged and single-analysis plans never
     /// switch, so their baselines stay untouched.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `PlanBuilder::cursor_opt_in` — the builder applies suppression, \
-                cursor opt-in and escalation in a fixed, footgun-free order"
-    )]
-    pub fn with_cursor_opt_in<'a>(
-        self,
-        branches: impl IntoIterator<Item = &'a BranchInfo>,
-    ) -> Plan {
-        self.apply_cursor_opt_in(branches)
-    }
-
-    /// Internal cursor opt-in applier shared by the deprecated
-    /// [`Plan::with_cursor_opt_in`] shim and [`crate::PlanBuilder`].
     pub(crate) fn apply_cursor_opt_in<'a>(
         mut self,
         branches: impl IntoIterator<Item = &'a BranchInfo>,
@@ -352,11 +324,8 @@ impl Plan {
 
 #[cfg(test)]
 mod tests {
-    // The builder shims stay deprecated-but-pinned: these tests are the
-    // behavioral contract the wrappers must keep satisfying.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::PlanBuilder;
 
     fn labels() -> (Vec<DynLabel>, Vec<bool>) {
         use DynLabel::*;
@@ -427,6 +396,26 @@ mod tests {
         assert_eq!(p, q);
     }
 
+    /// Builds, with the cursor opt-in, a `method` plan whose logged set
+    /// is exactly `logged`.
+    fn opted_in(method: Method, logged: &[bool], infos: &[BranchInfo]) -> Plan {
+        let dynamic: Vec<DynLabel> = logged
+            .iter()
+            .map(|&l| {
+                if l {
+                    DynLabel::Symbolic
+                } else {
+                    DynLabel::Concrete
+                }
+            })
+            .collect();
+        let plan = PlanBuilder::new(method, &dynamic, &vec![false; logged.len()], logged.len())
+            .cursor_opt_in(infos)
+            .build();
+        assert_eq!(plan.instrumented, logged);
+        plan
+    }
+
     fn branch_infos(kinds: &[(BranchKind, &str)]) -> Vec<BranchInfo> {
         kinds
             .iter()
@@ -459,7 +448,7 @@ mod tests {
         };
         assert!(plan.has_partial_loop_cluster(&infos));
         assert_eq!(
-            plan.with_cursor_opt_in(&infos).format,
+            opted_in(Method::DynamicStatic, &plan.instrumented, &infos).format,
             LogFormat::PerLocation
         );
     }
@@ -469,41 +458,14 @@ mod tests {
         use BranchKind::*;
         let infos = branch_infos(&[(While, "parse"), (If, "parse"), (If, "main")]);
         // Fully logged: no unlogged loop, flat stays.
-        let full = Plan {
-            method: Method::DynamicStatic,
-            instrumented: vec![true, true, true],
-            suppressed: Vec::new(),
-            log_syscalls: true,
-            format: LogFormat::Flat,
-            generation: 1,
-            checkpoints: false,
-            forced_literals: Vec::new(),
-        };
-        assert_eq!(full.with_cursor_opt_in(&infos).format, LogFormat::Flat);
+        let full = opted_in(Method::DynamicStatic, &[true, true, true], &infos);
+        assert_eq!(full.format, LogFormat::Flat);
         // The unlogged loop lives in a cluster with no logged branch.
-        let disjoint = Plan {
-            method: Method::DynamicStatic,
-            instrumented: vec![false, false, true],
-            suppressed: Vec::new(),
-            log_syscalls: true,
-            format: LogFormat::Flat,
-            generation: 1,
-            checkpoints: false,
-            forced_literals: Vec::new(),
-        };
-        assert_eq!(disjoint.with_cursor_opt_in(&infos).format, LogFormat::Flat);
+        let disjoint = opted_in(Method::DynamicStatic, &[false, false, true], &infos);
+        assert_eq!(disjoint.format, LogFormat::Flat);
         // Non-combined methods never switch, even with the fragile shape.
-        let dynamic = Plan {
-            method: Method::Dynamic,
-            instrumented: vec![false, true, false],
-            suppressed: Vec::new(),
-            log_syscalls: true,
-            format: LogFormat::Flat,
-            generation: 1,
-            checkpoints: false,
-            forced_literals: Vec::new(),
-        };
-        assert_eq!(dynamic.with_cursor_opt_in(&infos).format, LogFormat::Flat);
+        let dynamic = opted_in(Method::Dynamic, &[false, true, false], &infos);
+        assert_eq!(dynamic.format, LogFormat::Flat);
     }
 
     #[test]
@@ -564,10 +526,12 @@ mod tests {
     fn suppression_moves_branches_out_of_the_logged_set() {
         let (d, s) = labels();
         // Static plan logs {0, 2, 4}; say 2 and 4 are implied by 0.
-        let p = Plan::build(Method::Static, &d, &s, 6).with_suppression([
-            (BranchId(2), BranchId(0), false),
-            (BranchId(4), BranchId(0), true),
-        ]);
+        let p = PlanBuilder::new(Method::Static, &d, &s, 6)
+            .suppress([
+                (BranchId(2), BranchId(0), false),
+                (BranchId(4), BranchId(0), true),
+            ])
+            .build();
         assert_eq!(
             p.instrumented,
             vec![true, false, false, false, false, false]
@@ -593,10 +557,12 @@ mod tests {
         // Static logs {0, 2, 4}: branch 1 is NOT in the base set, so an
         // implication rooted at it must not suppress anything; nor may a
         // non-instrumented branch (3) be suppressed.
-        let p = Plan::build(Method::Static, &d, &s, 6).with_suppression([
-            (BranchId(2), BranchId(1), false),
-            (BranchId(3), BranchId(0), false),
-        ]);
+        let p = PlanBuilder::new(Method::Static, &d, &s, 6)
+            .suppress([
+                (BranchId(2), BranchId(1), false),
+                (BranchId(3), BranchId(0), false),
+            ])
+            .build();
         assert_eq!(p.n_suppressed(), 0);
         assert_eq!(p.instrumented, vec![true, false, true, false, true, false]);
     }
@@ -607,10 +573,12 @@ mod tests {
         // 2 implied by 0, 4 implied by 2 (which is itself suppressed):
         // both suppressions stand, because membership is checked against
         // the BASE set — the chain bottoms out at logged branch 0.
-        let p = Plan::build(Method::Static, &d, &s, 6).with_suppression([
-            (BranchId(2), BranchId(0), false),
-            (BranchId(4), BranchId(2), true),
-        ]);
+        let p = PlanBuilder::new(Method::Static, &d, &s, 6)
+            .suppress([
+                (BranchId(2), BranchId(0), false),
+                (BranchId(4), BranchId(2), true),
+            ])
+            .build();
         assert_eq!(p.n_suppressed(), 2);
         assert_eq!(p.suppresses(BranchId(4)).unwrap().by, BranchId(2));
         assert!(p.covers(BranchId(0)));
@@ -619,11 +587,9 @@ mod tests {
     #[test]
     fn suppressed_plan_roundtrips_through_serde() {
         let (d, s) = labels();
-        let p = Plan::build(Method::Static, &d, &s, 6).with_suppression([(
-            BranchId(2),
-            BranchId(0),
-            true,
-        )]);
+        let p = PlanBuilder::new(Method::Static, &d, &s, 6)
+            .suppress([(BranchId(2), BranchId(0), true)])
+            .build();
         let json = serde_json::to_string(&p).unwrap();
         let q: Plan = serde_json::from_str(&json).unwrap();
         assert_eq!(p, q);
@@ -636,18 +602,14 @@ mod tests {
         let infos = branch_infos(&[(While, "parse"), (If, "parse")]);
         // Both in the base set; the loop is suppressed (implied by the
         // if). Replay reconstructs its bits, so the cluster is whole.
-        let plan = Plan {
-            method: Method::DynamicStatic,
-            instrumented: vec![true, true],
-            suppressed: Vec::new(),
-            log_syscalls: true,
-            format: LogFormat::Flat,
-            generation: 1,
-            checkpoints: false,
-            forced_literals: Vec::new(),
-        }
-        .with_suppression([(BranchId(0), BranchId(1), false)]);
-        assert!(!plan.has_partial_loop_cluster(&infos));
-        assert_eq!(plan.with_cursor_opt_in(&infos).format, LogFormat::Flat);
+        use DynLabel::Symbolic;
+        let builder =
+            PlanBuilder::new(Method::DynamicStatic, &[Symbolic, Symbolic], &[false; 2], 2)
+                .suppress([(BranchId(0), BranchId(1), false)]);
+        assert!(!builder.clone().build().has_partial_loop_cluster(&infos));
+        assert_eq!(
+            builder.cursor_opt_in(&infos).build().format,
+            LogFormat::Flat
+        );
     }
 }

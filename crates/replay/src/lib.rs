@@ -13,8 +13,8 @@
 //! # Run tracing (`RETRACE_REPLAY_TRACE`)
 //!
 //! Set the `RETRACE_REPLAY_TRACE` environment variable (any value) to
-//! make [`ReplayEngine::reproduce`] print one diagnostic line per run to
-//! stderr: the outcome, bits consumed, logged/unlogged symbolic
+//! make [`ReplayEngine::reproduce`] print one diagnostic line per
+//! committed run to stderr: the outcome, bits consumed, logged/unlogged symbolic
 //! execution counts, path length, the divergent branch (if any), the
 //! per-location cursor positions (empty for flat logs — the `bits`
 //! count is the flat position), and the candidate connection payloads.
@@ -150,7 +150,7 @@ mod e2e {
         assert!(res.reproduced, "all-branches replay must succeed: {res:?}");
         assert!(report.trace.len() >= 3, "three guards were logged");
         // The witness must re-derive the magic input.
-        let w = res.witness_argv.expect("witness");
+        let w = res.witness_argv.as_ref().expect("witness");
         assert_eq!(&w[1][..3], b"cr8");
         // With a complete log the search needs very few runs.
         assert!(
@@ -1127,7 +1127,7 @@ mod e2e {
         let spec = guarded_spec();
         // Log ONLY the middle guard: the outer and inner guards must be
         // found by search, so the frontier sees real UNSAT streaks —
-        // the work the parallel engine speculates on.
+        // the work the driver speculates on above width 1.
         let mut instrumented = vec![false; cp.n_branches()];
         instrumented[1] = true;
         let plan = Plan {
@@ -1153,8 +1153,8 @@ mod e2e {
             res.reproduced,
             res.runs,
             res.solver_calls,
-            res.witness_argv,
-            res.witness_assignment,
+            res.witness_argv.clone(),
+            res.witness_assignment.clone(),
             res.frontier.solved_sigs.clone(),
             res.frontier.committed,
             res.frontier.popped - res.frontier.restored,
@@ -1165,8 +1165,8 @@ mod e2e {
     #[test]
     fn replay_is_worker_count_invariant() {
         // The tentpole property, stronger than mere set equality: the
-        // parallel engine commits speculative verdicts strictly in pop
-        // order, so the ENTIRE decision sequence — run count, solver
+        // driver commits speculative verdicts strictly in pop order, so
+        // the ENTIRE decision sequence — run count, solver
         // calls, the ordered (signature, verdict) stream, the committed
         // pop count, and the final reproduced input — is bit-identical
         // for every worker count. (Raw `popped` is NOT compared:
@@ -1177,10 +1177,7 @@ mod e2e {
         assert!(!serial.5.is_empty(), "the search must actually solve sets");
         for workers in [2, 4] {
             let par = replay_with_workers(workers);
-            assert_eq!(
-                serial, par,
-                "workers={workers} diverged from the serial engine"
-            );
+            assert_eq!(serial, par, "workers={workers} diverged from workers=1");
         }
     }
 
@@ -1297,8 +1294,8 @@ mod e2e {
                     res.reproduced,
                     res.runs,
                     res.solver_calls,
-                    res.witness_argv,
-                    res.witness_assignment,
+                    res.witness_argv.clone(),
+                    res.witness_assignment.clone(),
                     res.frontier.solved_sigs.clone(),
                 )
             };

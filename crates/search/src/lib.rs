@@ -19,7 +19,9 @@
 //! - restart-from-new-seed ([`SearchPolicy::restart_on_drain`]) when the
 //!   frontier drains before the run budget, instead of giving up.
 //!
-//! Engines interact with one [`Frontier`] per session:
+//! Both engines run on one round loop, [`driver::drive`], which owns one
+//! [`Frontier`] per session. An engine's `bank` hook offers a run's
+//! candidates; the driver pops, solves and commits:
 //!
 //! ```text
 //! frontier.begin_run();
@@ -30,7 +32,7 @@
 //!     frontier.offer(sig, lits, branch, || build_set(i));
 //! }
 //! frontier.end_run();
-//! while let Some(p) = frontier.pop() { .. frontier.note_solved(sat); }
+//! // the driver: pop_batch(width), solve, note_solved_sig / restore
 //! ```
 //!
 //! Deduplication keys pending sets on a 128-bit hash of the full
@@ -46,9 +48,11 @@
 
 use solver::{ConstraintSet, FastMap, FastSet, Fnv128, Lit, RangeConstraint};
 
+pub mod driver;
 pub mod limits;
 pub mod pool;
 
+pub use driver::{seeded_assignment, SearchCounters};
 pub use limits::SearchLimits;
 
 /// Frontier exploration order.
@@ -152,6 +156,13 @@ impl ForcedSetRepair {
 /// not pool burst evidence or share a repair budget.
 pub fn location_key(loc: u32, pos: u64) -> u128 {
     (1u128 << 100) | (u128::from(loc) << 64) | u128::from(pos)
+}
+
+/// The inverse of [`location_key`]: the (branch location, cursor
+/// position) a per-location burst key was built from, or `None` for a
+/// flat log's key (a bits-high-water mark, below 2^64).
+pub fn key_location(key: u128) -> Option<(u32, u64)> {
+    ((key >> 100) & 1 == 1).then_some(((key >> 64) as u32, key as u64))
 }
 
 /// Tracks thrash evidence per stall and meters repair attempts.
@@ -351,9 +362,10 @@ pub struct FrontierStats {
     /// budget rather than by a proof (`SolveStats::refuted` unset). Each
     /// one is a full-budget grind; the workloads' guards pin it at 0.
     pub unproven_unsat: u64,
-    /// Replay/concolic runs executed per worker thread (empty for the
-    /// serial engines). Scheduling-dependent — excluded from invariance
-    /// comparisons; the counts only show how work spread across threads.
+    /// Solve jobs (and the runs of their SAT models) executed per worker
+    /// thread; empty at workers = 1. Scheduling-dependent — excluded from
+    /// invariance comparisons; the counts only show how work spread
+    /// across threads.
     pub worker_runs: Vec<u64>,
 }
 
@@ -400,8 +412,8 @@ impl SolvedSigs {
 
 impl FrontierStats {
     /// One-line rendering for analysis summaries and table footers.
-    /// Serial sessions render exactly as before; parallel sessions
-    /// (non-empty `worker_runs`) append the per-worker run split.
+    /// Sessions above workers = 1 (non-empty `worker_runs`) append the
+    /// per-worker run split.
     pub fn summary(&self) -> String {
         let base = format!(
             "{}: {} scheduled (+{} priority), {} sat / {} unsat, \
@@ -753,12 +765,12 @@ impl Frontier {
     /// then the strategy's pool order), recording per-pop provenance so
     /// [`Frontier::restore`] can push unconsumed sets back exactly.
     ///
-    /// The parallel engines use this to solve several candidates
-    /// concurrently while committing verdicts strictly in pop order:
-    /// once a verdict requires mutating the frontier (a SAT model ends
-    /// the solve streak, or an UNSAT burst triggers a repair offer), the
+    /// The search driver ([`driver::drive`]) uses this to solve several
+    /// candidates concurrently while committing verdicts strictly in pop
+    /// order: once a verdict requires mutating the frontier (a SAT model
+    /// ends the round, or an UNSAT burst triggers a repair offer), the
     /// unprocessed tail must be restored *before* the mutation so the
-    /// queue state matches what a serial engine would have seen.
+    /// queue state matches what a width-1 round would have seen.
     pub fn pop_batch(&mut self, max: usize) -> Vec<SpeculativePop> {
         let mut out = Vec::new();
         while out.len() < max {
@@ -821,7 +833,7 @@ impl Frontier {
         self.note_solved_sig(sig, false);
     }
 
-    /// Adds a parallel phase's per-worker processed-item counts into the
+    /// Adds a round's per-worker processed-item counts into the
     /// session's `worker_runs` split (elementwise; grows on demand).
     pub fn note_worker_runs(&mut self, counts: &[u64]) {
         if self.stats.worker_runs.len() < counts.len() {
@@ -1359,6 +1371,16 @@ mod tests {
         // Flat keys are raw bit counts (< 2^64): never collide with the
         // lifted per-location space.
         assert!(location_key(0, 0) > u128::from(u64::MAX));
+    }
+
+    #[test]
+    fn location_keys_decode_to_their_location() {
+        for (loc, pos) in [(0, 0), (7, 42), (u32::MAX, u64::MAX)] {
+            assert_eq!(key_location(location_key(loc, pos)), Some((loc, pos)));
+        }
+        // A flat log keys on its bits-high-water mark, below 2^64.
+        assert_eq!(key_location(0), None);
+        assert_eq!(key_location(u128::from(u64::MAX)), None);
     }
 
     #[test]

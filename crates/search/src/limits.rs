@@ -31,10 +31,10 @@ pub struct SearchLimits {
     /// Frontier scheduling policy (strategy, per-branch quotas, drain
     /// restarts, forced-set repair).
     pub policy: SearchPolicy,
-    /// Worker threads for the candidate search. `1` is the fully
-    /// serial engine; `N > 1` solves up to `N` speculatively popped
-    /// pending sets concurrently, committing verdicts strictly in pop
-    /// order, so results are identical for every worker count.
+    /// The search driver's round width ([`crate::driver`]): each round
+    /// pops up to `workers.max(1)` pending sets, solves them on that many
+    /// threads and commits the verdicts strictly in pop order, so results
+    /// are identical for every worker count.
     pub workers: usize,
     /// Path-prefix solve cache over the frozen arena generations.
     /// Outcome-identical; only changes wall time.

@@ -1,18 +1,18 @@
-//! A tiny scoped worker pool for the batch-synchronous parallel phases.
+//! A tiny scoped worker pool for the search driver's rounds.
 //!
-//! The replay and concolic engines parallelize in *phases*: a round pops
-//! a batch of independent jobs (VM runs to execute, pending sets to
-//! solve), fans them out across `workers` threads, then commits the
-//! results serially in job order. [`parallel_map`] is the fan-out half:
-//! it runs `f` over every item on a shared pull queue and returns the
-//! results in item order, plus a per-worker processed-item count for the
-//! `worker_runs` split in `FrontierStats`.
+//! Each round of [`crate::driver::drive`] pops a batch of pending sets,
+//! fans the solve jobs (and the runs of their SAT models) out across the
+//! round's width, then commits the results serially in pop order.
+//! [`parallel_map`] is the fan-out half: it runs `f` over every item on
+//! a shared pull queue and returns the results in item order, plus a
+//! per-worker processed-item count for the `worker_runs` split in
+//! `FrontierStats`.
 //!
 //! The pool is deliberately phase-scoped (no long-lived threads, no
 //! channels): `std::thread::scope` lets `f` borrow the caller's stack —
-//! in particular the shared read-only `ExprArena` solve jobs run against
-//! — and a worker panic propagates at scope join instead of deadlocking
-//! the round.
+//! in particular the popped pending sets and the shared read-only
+//! `ExprArena` the jobs run against — and a worker panic propagates at
+//! scope join instead of deadlocking the round.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -35,8 +35,7 @@ pub struct PhaseResult<R> {
 ///
 /// `workers <= 1` (or a single item) takes a serial fast path on the
 /// calling thread: no threads are spawned and `worker_counts` comes
-/// back sized 1, keeping the default configuration byte-identical to
-/// the pre-parallel engines.
+/// back sized 1.
 pub fn parallel_map<T, R, F>(workers: usize, items: Vec<T>, f: F) -> PhaseResult<R>
 where
     T: Send,

@@ -454,65 +454,6 @@ impl ExprArena {
         out
     }
 
-    /// Imports everything a parallel worker built in a clone of this
-    /// arena back into this (central) arena.
-    ///
-    /// `src` must descend from a clone of `self` taken when `self` held
-    /// `base_nodes` nodes. Both arenas are append-only, so every `src`
-    /// handle below `base_nodes` already names the same node here and
-    /// maps to itself; only the worker's new suffix needs translating.
-    /// Constructors only combine existing handles, so the suffix is
-    /// already in topological (index) order: one linear pass replays it
-    /// through `constant` / `var_expr` / `bin` / `un` rather than
-    /// copying, so interning and the folding / simplification rules run
-    /// under this arena's variable table — the committed structure is
-    /// canonical no matter which worker built it. When this arena is
-    /// still at its `base_nodes` state (the common commit-phase case:
-    /// one run absorbed per round, before any other mutation), the
-    /// replay reproduces `src`'s numbering exactly, which is what keeps
-    /// parallel sessions bit-identical to serial ones. Variables the
-    /// worker created beyond this table are appended first-wins (ids
-    /// this arena already has keep their domains).
-    ///
-    /// Returns the translated handle for each root, in order.
-    pub fn absorb(
-        &mut self,
-        src: &ExprArena,
-        base_nodes: usize,
-        roots: &[ExprRef],
-    ) -> Vec<ExprRef> {
-        debug_assert!(base_nodes <= src.len(), "src descends from the clone");
-        debug_assert!(base_nodes <= self.len(), "central is append-only");
-        for i in self.vars.len()..src.vars.len() {
-            self.vars.push(src.vars[i]);
-        }
-        let mut memo: Vec<ExprRef> = Vec::with_capacity(src.len() - base_nodes);
-        let translate = |memo: &Vec<ExprRef>, r: ExprRef| -> ExprRef {
-            let i = r.0 as usize;
-            if i < base_nodes {
-                r
-            } else {
-                memo[i - base_nodes]
-            }
-        };
-        for i in base_nodes..src.len() {
-            let t = match src.node(ExprRef(i as u32)) {
-                Node::Const(v) => self.constant(v),
-                Node::Var(v) => self.var_expr(v),
-                Node::Bin(op, a, b) => {
-                    let (ta, tb) = (translate(&memo, a), translate(&memo, b));
-                    self.bin(op, ta, tb)
-                }
-                Node::Un(op, a) => {
-                    let ta = translate(&memo, a);
-                    self.un(op, ta)
-                }
-            };
-            memo.push(t);
-        }
-        roots.iter().map(|r| translate(&memo, *r)).collect()
-    }
-
     /// Collects the variables an expression depends on (sorted, deduped).
     pub fn support(&self, root: ExprRef) -> Vec<VarId> {
         let mut seen = FastSet::default();
@@ -829,104 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn absorb_is_identity_when_central_is_unchanged() {
-        let mut central = ExprArena::new();
-        let (_, x) = central.fresh_var(VarInfo::byte());
-        let c = central.constant(7);
-        let base_expr = central.bin(Op::Add, x, c);
-        let base_nodes = central.len();
-
-        // Worker: clone, build new expressions (and a new var) on top.
-        let mut worker = central.clone();
-        let (_, y) = worker.fresh_var(VarInfo::range(-1, 1000));
-        let sum = worker.bin(Op::Add, base_expr, y);
-        let two = worker.constant(2);
-        let root = worker.bin(Op::Mul, sum, two);
-
-        let out = central.absorb(&worker, base_nodes, &[root, base_expr, x]);
-        assert_eq!(out, vec![root, base_expr, x], "numbering is reproduced");
-        assert_eq!(central.len(), worker.len());
-        assert_eq!(central.n_vars(), worker.n_vars());
-        assert_eq!(central.var_info(VarId(1)), VarInfo::range(-1, 1000));
-        assert_eq!(central.eval(root, &[3, 5]), ((3 + 7) + 5) * 2);
-    }
-
-    #[test]
-    fn absorb_translates_after_central_advanced() {
-        let mut central = ExprArena::new();
-        let (_, x) = central.fresh_var(VarInfo::byte());
-        let base_nodes = central.len();
-
-        let mut worker = central.clone();
-        let five = worker.constant(5);
-        let w_root = worker.bin(Op::Add, x, five);
-
-        // Central moves on before the commit: ids must translate, and
-        // interning must dedupe against what central already has.
-        let nine = central.constant(9);
-        let existing = central.bin(Op::Add, x, nine);
-        let out = central.absorb(&worker, base_nodes, &[w_root]);
-        assert_ne!(out[0], w_root, "ids translated, not assumed");
-        assert_eq!(central.eval(out[0], &[3]), 8);
-        let five_c = central.constant(5);
-        let again = central.bin(Op::Add, x, five_c);
-        assert_eq!(out[0], again, "absorbed node is interned, not duplicated");
-        assert_eq!(central.eval(existing, &[3]), 12, "prior nodes untouched");
-    }
-
-    #[test]
-    fn absorb_replays_simplifications_under_central_var_table() {
-        // A worker that (hypothetically) interned `x & 255` without the
-        // byte-domain identity must still commit the canonical form.
-        let mut central = ExprArena::new();
-        let (_, x) = central.fresh_var(VarInfo::byte());
-        let base_nodes = central.len();
-        let mut worker = central.clone();
-        let masked = worker.mask_char(x);
-        assert_eq!(masked, x, "byte mask folds in the worker too");
-        // Something genuinely new that folds: (x + 0) * 1.
-        let zero = worker.constant(0);
-        let one = worker.constant(1);
-        let a = worker.bin(Op::Add, x, zero);
-        let root = worker.bin(Op::Mul, a, one);
-        let out = central.absorb(&worker, base_nodes, &[root]);
-        assert_eq!(out[0], x, "replay folds to the canonical handle");
-    }
-
-    #[test]
-    fn absorb_var_table_is_first_wins() {
-        let mut central = ExprArena::new();
-        let base_nodes = central.len();
-        let mut w1 = central.clone();
-        let (_, a) = w1.fresh_var(VarInfo::byte());
-        central.absorb(&w1, base_nodes, &[a]);
-        let mut w2 = ExprArena::new();
-        let (_, b) = w2.fresh_var(VarInfo::range(0, 7));
-        central.absorb(&w2, 0, &[b]);
-        assert_eq!(central.n_vars(), 1);
-        assert_eq!(
-            central.var_info(VarId(0)),
-            VarInfo::byte(),
-            "the id's existing domain wins"
-        );
-    }
-
-    #[test]
-    fn absorb_deep_chain_does_not_overflow() {
-        let mut central = ExprArena::new();
-        let (_, x) = central.fresh_var(VarInfo::byte());
-        let base_nodes = central.len();
-        let mut worker = central.clone();
-        let mut e = x;
-        for _ in 0..100_000 {
-            let one = worker.constant(1);
-            e = worker.bin(Op::Add, e, one);
-        }
-        let out = central.absorb(&worker, base_nodes, &[e]);
-        assert_eq!(central.eval(out[0], &[5]), 100_005);
-    }
-
-    #[test]
     fn deep_chain_eval_does_not_overflow() {
         let mut a = ExprArena::new();
         let (_, mut e) = a.fresh_var(VarInfo::byte());
@@ -1017,29 +860,5 @@ mod tests {
         assert_eq!(b.node(eb), Node::Bin(Op::Add, x, three));
         assert_eq!(a.eval(ea, &[1]), 3);
         assert_eq!(b.eval(eb, &[1]), 4);
-    }
-
-    #[test]
-    fn absorb_works_across_frozen_boundaries() {
-        let mut central = ExprArena::new();
-        let (_, x) = central.fresh_var(VarInfo::byte());
-        let c = central.constant(7);
-        let base_expr = central.bin(Op::Add, x, c);
-        central.freeze();
-        let base_nodes = central.len();
-
-        let mut worker = central.clone();
-        worker.freeze();
-        let (_, y) = worker.fresh_var(VarInfo::range(-1, 1000));
-        let sum = worker.bin(Op::Add, base_expr, y);
-        let two = worker.constant(2);
-        let root = worker.bin(Op::Mul, sum, two);
-        // Freeze mid-build: absorb must read through the worker's split.
-        worker.freeze();
-
-        let out = central.absorb(&worker, base_nodes, &[root, base_expr, x]);
-        assert_eq!(out, vec![root, base_expr, x], "numbering is reproduced");
-        assert_eq!(central.len(), worker.len());
-        assert_eq!(central.eval(root, &[3, 5]), ((3 + 7) + 5) * 2);
     }
 }

@@ -81,7 +81,7 @@ fn main() {
     // 6. The "developer site": reproduce from the partial log.
     let result = wb.replay(&plan, &report, 256);
     assert!(result.reproduced, "replay must succeed");
-    let witness = result.witness_argv.expect("witness input");
+    let witness = result.witness_argv.as_ref().expect("witness input");
     println!(
         "reproduced in {} replay run(s), {} solver call(s)",
         result.runs, result.solver_calls
