@@ -116,7 +116,7 @@ fn main() {
                 "runs",
                 "instr spend",
                 "sysdiv / restarts",
-                "conc rng/pin+fb",
+                "conc rng/pin",
                 "repairs",
                 "prefix cache",
             ],

@@ -134,7 +134,6 @@ pub fn replay_one(
             frontier_restarts: result.frontier.restarts,
             concretization_ranges: result.concretization_ranges,
             concretization_pins: result.concretization_pins,
-            pin_fallbacks: result.pin_fallbacks,
             repairs: result.frontier.repairs_scheduled,
             repair_cutoffs: result.frontier.repair_cutoffs,
             log_bits: run.log_bits,

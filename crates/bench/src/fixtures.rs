@@ -8,7 +8,7 @@
 //! — and so every suite can dial the engine knobs (`workers`, `cache`)
 //! explicitly instead of re-deriving the workbench by hand.
 
-use crate::experiments::{replay_adaptive, userver_analysis_bench, AdaptiveGen};
+use crate::experiments::{replay_adaptive, replay_one, userver_analysis_bench, AdaptiveGen};
 use crate::render;
 use crate::setup::{userver_experiments, Coverage, Experiment};
 use instrument::{LogFormat, Method};
@@ -164,10 +164,7 @@ pub fn exp1_replay_table(knobs: Knobs) -> String {
             res.solver_calls.to_string(),
             res.total_instrs.to_string(),
             spend,
-            format!(
-                "{}/{}+{}",
-                res.concretization_ranges, res.concretization_pins, res.pin_fallbacks
-            ),
+            format!("{}/{}", res.concretization_ranges, res.concretization_pins),
             format!(
                 "{}({})",
                 res.frontier.repairs_scheduled, res.frontier.repair_cutoffs
@@ -184,12 +181,68 @@ pub fn exp1_replay_table(knobs: Knobs) -> String {
             "solver calls",
             "instrs",
             "instr spend",
-            "conc rng/pin+fb",
+            "conc rng/pin",
             "repairs",
             "prefix cache",
         ],
         &rows,
     )
+}
+
+/// Renders Tables 5 and 8: uServer exps 1 and 4 replayed under `budget`
+/// runs with syscall-result logging off, every plan from the HC
+/// analysis. With `wall` set, Table 5's work cell reads `work / wall` —
+/// the `table5_nosyscall_replay` rendering; without it the wall is
+/// masked, the rendering the committed golden
+/// `userver_nosyscall_replay.txt` pins at the default knobs.
+pub fn nosyscall_tables(knobs: Knobs, budget: usize, wall: bool) -> String {
+    let abench = userver_analysis(knobs);
+    let bundle = abench.wb.analyze(Coverage::Hc.runs());
+    let mut t5 = Vec::new();
+    let mut t8 = Vec::new();
+    for id in [1, 4] {
+        let exp = userver_experiment(id, knobs);
+        for (name, method) in [
+            ("dynamic (hc)", Method::Dynamic),
+            ("dynamic+static (hc)", Method::DynamicStatic),
+            ("static", Method::Static),
+            ("all branches", Method::AllBranches),
+        ] {
+            let plan = exp.wb.plan(method, &bundle).without_syscall_logging();
+            let (row, stats, _) = replay_one(&exp, name, id, &plan, budget);
+            let work = if wall { row.cell() } else { row.work_cell() };
+            t5.push(vec![
+                format!("exp {id}"),
+                name.to_string(),
+                work,
+                row.runs.to_string(),
+            ]);
+            t8.push(vec![
+                format!("exp {id}"),
+                name.to_string(),
+                stats.logged_cell(),
+                stats.unlogged_cell(),
+            ]);
+        }
+    }
+    let (masked, work_header) = if wall {
+        ("", "replay work / wall")
+    } else {
+        ("; wall masked", "replay work")
+    };
+    let t5 = render::table(
+        &format!(
+            "Table 5: reproduction WITHOUT syscall logging (budget {budget}; ∞ = timeout{masked})"
+        ),
+        &["experiment", "config", work_header, "runs"],
+        &t5,
+    );
+    let t8 = render::table(
+        "Table 8: symbolic branch locations logged / NOT logged, no syscall log",
+        &["experiment", "config", "logged", "not logged"],
+        &t8,
+    );
+    format!("{t5}\n{t8}")
 }
 
 /// One rendered row of the adaptive table: the generation's plan shape,

@@ -69,7 +69,7 @@ type AnalysisObs = (
     (usize, usize, usize),         // runs, solver calls, solver sat
     (usize, u64),                  // arena nodes, total instrs
     Vec<(Vec<Vec<u8>>, Vec<i64>)>, // ordered crash stream
-    (u64, u64, u64),               // conc ranges, pins, fallbacks
+    (u64, u64),                    // conc ranges, pins
     FrontierStats,                 // full scheduling counters
 );
 
@@ -89,11 +89,7 @@ fn observe_analysis(
                 .iter()
                 .map(|c| (c.argv.clone(), c.assignment.clone()))
                 .collect(),
-            (
-                d.concretization_ranges,
-                d.concretization_pins,
-                d.pin_fallbacks,
-            ),
+            (d.concretization_ranges, d.concretization_pins),
             committed_frontier(&d.frontier),
         ),
         (d.cache_hits, d.cache_misses, d.prefix_len_saved),
@@ -105,7 +101,7 @@ type ReplayObs = (
     (bool, usize, usize, u64), // reproduced, runs, calls, instrs
     Option<Vec<Vec<u8>>>,      // witness argv
     Option<Vec<i64>>,          // witness assignment
-    (u64, u64, u64),           // conc ranges, pins, fallbacks
+    (u64, u64),                // conc ranges, pins
     (u64, u64),                // syscall divs, cursor overruns
     FrontierStats,             // full scheduling counters
 );
@@ -133,11 +129,7 @@ fn observe_replay(
             (r.reproduced, r.runs, r.solver_calls, r.total_instrs),
             r.witness_argv.clone(),
             r.witness_assignment.clone(),
-            (
-                r.concretization_ranges,
-                r.concretization_pins,
-                r.pin_fallbacks,
-            ),
+            (r.concretization_ranges, r.concretization_pins),
             (r.syscall_divergences, r.cursor_overruns),
             committed_frontier(&r.frontier),
         ),

@@ -14,7 +14,9 @@
 
 use instrument::Method;
 use retrace_bench::experiments::{analyze_coverages, six_configs, userver_analysis_bench};
-use retrace_bench::fixtures::{check_golden, exp1_replay_table, guarded_crash_table, Knobs};
+use retrace_bench::fixtures::{
+    check_golden, exp1_replay_table, guarded_crash_table, nosyscall_tables, Knobs,
+};
 use retrace_bench::render;
 use retrace_bench::setup::{fib, userver_load, Coverage};
 
@@ -103,6 +105,19 @@ fn userver_exp1_replay_table_matches_golden() {
     check_golden(
         "userver_exp1_replay.txt",
         &exp1_replay_table(Knobs::default()),
+    );
+}
+
+/// The real uServer Tables 5 and 8: exps 1 and 4 replayed without
+/// syscall-result logging, wall masked — work, runs and the logged /
+/// not-logged location cells. The one committed workload where the
+/// region-bounds concretization changes an outcome: under equality pins
+/// exp 4 needs about half the runs, so this pins the range steps' replays.
+#[test]
+fn userver_nosyscall_replay_tables_match_golden() {
+    check_golden(
+        "userver_nosyscall_replay.txt",
+        &nosyscall_tables(Knobs::default(), 300, false),
     );
 }
 

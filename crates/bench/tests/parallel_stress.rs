@@ -81,15 +81,12 @@ fn combined_row_survives_repeated_parallel_replay() {
                 f.committed,
                 f.restored,
             );
-            if f.dedup_resets == 0 {
-                let mut seen = HashSet::new();
-                for (sig, _) in f.solved_sigs.iter() {
-                    assert!(
-                        seen.insert(sig),
-                        "iteration {iter}: candidate {sig:#034x} solved twice \
-                         with no dedup reset"
-                    );
-                }
+            let mut seen = HashSet::new();
+            for (sig, _) in f.solved_sigs.iter() {
+                assert!(
+                    seen.insert(sig),
+                    "iteration {iter}: candidate {sig:#034x} solved twice"
+                );
             }
             let fingerprint = (
                 res.reproduced,

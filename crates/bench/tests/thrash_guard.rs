@@ -151,8 +151,4 @@ fn hc_analysis_unsat_verdicts_are_proven() {
         f.unproven_unsat, 0,
         "HC analysis: UNSAT verdicts without a proof: {f:?}"
     );
-    assert_eq!(
-        bundle.dyn_result.pin_fallbacks, 0,
-        "a proven-UNSAT bounded form skips the pinned retry"
-    );
 }

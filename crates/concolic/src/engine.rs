@@ -23,7 +23,7 @@ use minic::CompiledProgram;
 use oskit::{Kernel, KernelConfig};
 use search::driver::{self, End, GuidedEngine};
 use search::{seeded_assignment, Frontier, PrefixSigs, SearchCounters, SearchLimits};
-use solver::{ConstraintSet, ExprArena, FastMap, Lit, PrefixCache, SolveCfg, VarId};
+use solver::{Constraint, ConstraintSet, ExprArena, FastMap, PrefixCache, SolveCfg, VarId};
 
 /// Exploration budget. `max_runs` is the primary (deterministic) knob —
 /// the LC/HC axis of the paper; the others are safety caps. The shared
@@ -125,8 +125,6 @@ pub struct RunRecord {
     pub labels: LabelMap,
     /// Profile of this run alone.
     pub profile: Profile,
-    /// Symbolic addresses concretized in this run.
-    pub concretizations: u64,
     /// Concretizations emitted as offset-generalizing ranges.
     pub concretization_ranges: u64,
     /// Concretizations pinned at emission.
@@ -160,8 +158,6 @@ pub struct AnalysisResult {
     pub arena_nodes: usize,
     /// Total instructions executed across runs.
     pub total_instrs: u64,
-    /// Symbolic addresses concretized across runs.
-    pub concretizations: u64,
     /// Concretizations emitted in the offset-generalizing range form.
     pub concretization_ranges: u64,
     /// Concretizations that used (or fell back at emission to) the pin.
@@ -239,7 +235,6 @@ impl<'p> Engine<'p> {
                 stdout: host.stdout,
                 labels: host.labels,
                 profile: host.profile,
-                concretizations: host.concretizations,
                 concretization_ranges: host.concretization_ranges,
                 concretization_pins: host.concretization_pins,
             },
@@ -270,7 +265,6 @@ impl<'p> Engine<'p> {
             profile: Profile::new(self.cp.n_branches()),
             crashes: Vec::new(),
             total_instrs: 0,
-            concretizations: 0,
             concretization_ranges: 0,
             concretization_pins: 0,
         };
@@ -289,7 +283,6 @@ impl<'p> Engine<'p> {
             crashes: analysis.crashes,
             arena_nodes: finish.arena_nodes,
             total_instrs: analysis.total_instrs,
-            concretizations: analysis.concretizations,
             concretization_ranges: analysis.concretization_ranges,
             concretization_pins: analysis.concretization_pins,
             exhausted: finish.end == End::Drained,
@@ -307,7 +300,6 @@ struct Analysis<'e, 'p> {
     profile: Profile,
     crashes: Vec<FoundCrash>,
     total_instrs: u64,
-    concretizations: u64,
     concretization_ranges: u64,
     concretization_pins: u64,
 }
@@ -323,7 +315,6 @@ impl GuidedEngine for Analysis<'_, '_> {
         self.labels.merge(&record.labels);
         self.profile.merge(&record.profile);
         self.total_instrs += record.meter.instrs;
-        self.concretizations += record.concretizations;
         self.concretization_ranges += record.concretization_ranges;
         self.concretization_pins += record.concretization_pins;
         if let RunOutcome::Crashed(info) = &record.outcome {
@@ -349,53 +340,23 @@ impl GuidedEngine for Analysis<'_, '_> {
         cache: Option<&mut PrefixCache>,
     ) {
         let pin: FastMap<VarId, i64> = record.nondet.iter().copied().collect();
-        let exprs: Vec<_> = record.path.iter().map(|s| s.lit.expr).collect();
-        let substituted_exprs = arena.substitute_many(&exprs, &pin);
-        let substituted: Vec<Lit> = record
+        let exprs: Vec<_> = record.path.iter().map(|s| s.constraint.expr()).collect();
+        let substituted: Vec<Constraint> = record
             .path
             .iter()
-            .zip(&substituted_exprs)
-            .map(|(step, expr)| Lit {
-                expr: *expr,
-                positive: step.lit.positive,
-            })
+            .zip(arena.substitute_many(&exprs, &pin))
+            .map(|(step, expr)| step.constraint.with_expr(expr))
             .collect();
-        // Range constraints (offset-generalized concretizations) get
-        // the same nondeterminism substitution on their expressions.
-        // Only the range-bearing steps are substituted — most steps
-        // carry none, and the whole-path DAG substitution above is
-        // already the engine's hotspot.
-        let ranged: Vec<(usize, solver::RangeConstraint)> = record
-            .path
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.range.map(|rc| (i, rc)))
-            .collect();
-        let range_exprs: Vec<_> = ranged.iter().map(|(_, rc)| rc.expr).collect();
-        let substituted_range_exprs = arena.substitute_many(&range_exprs, &pin);
-        let mut ranges: Vec<Option<solver::RangeConstraint>> = vec![None; record.path.len()];
-        for ((i, rc), expr) in ranged.iter().zip(&substituted_range_exprs) {
-            ranges[*i] = Some(solver::RangeConstraint { expr: *expr, ..*rc });
-        }
-        // This run executed, so every literal of its (substituted) path
+        // This run executed, so every constraint of its (substituted) path
         // condition held: register the satisfied prefixes so candidates
         // that share one can skip straight to the divergent suffix.
         if let Some(cache) = cache {
-            let reg_lits: Vec<Lit> = substituted
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| ranges[*i].is_none())
-                .map(|(_, l)| *l)
-                .collect();
-            let reg_ranges: Vec<solver::RangeConstraint> =
-                ranges.iter().filter_map(|r| *r).collect();
-            cache.register_path(arena, &reg_lits, &reg_ranges);
+            let path: ConstraintSet = substituted.iter().copied().collect();
+            cache.register_path(arena, &path.lits, &path.ranges);
         }
-        // A step contributes its range form when it has one, else its
-        // literal (branch condition or emission-time pin). Candidates are
-        // hashed from the path before any is built: only the few the
-        // frontier accepts pay for their O(depth) prefix copy.
-        let sigs = PrefixSigs::new(substituted.iter().copied().zip(ranges.iter().copied()));
+        // Candidates are hashed from the path before any is built: only
+        // the few the frontier accepts pay for their O(depth) prefix copy.
+        let sigs = PrefixSigs::new(substituted.iter().copied());
         let seed_controllables = &assignment[..self.vars.n_controllable as usize];
         frontier.begin_run();
         let order = frontier.policy().strategy.offer_order(substituted.len());
@@ -403,26 +364,22 @@ impl GuidedEngine for Analysis<'_, '_> {
             if frontier.run_full() {
                 break;
             }
-            let StepOrigin::Branch(bid) = record.path[i].origin else {
+            let (StepOrigin::Branch(bid), Constraint::Lit(lit)) =
+                (record.path[i].origin, substituted[i])
+            else {
                 continue;
             };
             if !frontier.depth_ok(i + 1) {
                 continue;
             }
             // Skip conditions that no controllable input influences.
-            if arena.is_concrete(substituted[i].expr) {
+            if arena.is_concrete(lit.expr) {
                 continue;
             }
-            let neg = substituted[i].negated();
+            let neg = lit.negated();
             let (sig, lits) = sigs.candidate(i, neg);
             frontier.offer(sig, lits, Some(bid.0), || {
-                let mut cs = ConstraintSet::new();
-                for (lit, range) in substituted[..i].iter().zip(&ranges) {
-                    match range {
-                        Some(rc) => cs.push_range(*rc),
-                        None => cs.push(*lit),
-                    }
-                }
+                let mut cs: ConstraintSet = substituted[..i].iter().copied().collect();
                 cs.push(neg);
                 (cs, seed_controllables.to_vec())
             });

@@ -9,10 +9,9 @@
 //! CUTE lineage: the component is bounded to the values that keep the
 //! access inside the base pointer's object
 //! ([`Concretization::RegionBounds`]), with the observed value retained
-//! so the solver can fall back to the hard pin. Pins over-constrain:
-//! replay's forced prefixes routinely need a *different* stream offset
-//! than the failing run observed, and under pins every such prefix is
-//! UNSAT (the Table 3 combined-row thrash). [`Concretization::Pin`]
+//! as a search hint. Pins over-constrain: replay's forced prefixes
+//! routinely need a *different* stream offset than the failing run
+//! observed, and under pins such a prefix is UNSAT. [`Concretization::Pin`]
 //! restores the classic behavior for comparison.
 
 use crate::input::InputVars;
@@ -24,7 +23,9 @@ use minic::types::Sys;
 use minic::vm::{CrashKind, Host, HostStop, PtrRegion};
 use minic::{BranchId, Loc};
 use oskit::Kernel;
-use solver::{div_ceil, div_floor, ExprArena, ExprRef, Lit, Op, RangeConstraint, VarId, VarInfo};
+use solver::{
+    div_ceil, div_floor, Constraint, ExprArena, ExprRef, Lit, Op, RangeConstraint, VarId, VarInfo,
+};
 
 /// Shadow value: `None` for concrete, `Some(expr)` for input-dependent.
 pub type SymV = Option<ExprRef>;
@@ -35,9 +36,8 @@ pub enum Concretization {
     /// The classic CUTE-style equality pin (`expr == observed`).
     Pin,
     /// Offset-generalizing: bound the component to the values that keep
-    /// the access inside the object's region (plus stride alignment for
-    /// symbolic base pointers), falling back to the pin when no region is
-    /// known or the bounded form defeats the solver.
+    /// the access inside the object's region, falling back to the pin
+    /// when no region is known.
     #[default]
     RegionBounds,
 }
@@ -54,17 +54,37 @@ pub enum StepOrigin {
 /// One entry of a run's path condition.
 #[derive(Debug, Clone, Copy)]
 pub struct PathStep {
-    /// The literal asserted by this step. For concretization steps this
-    /// is the hard pin (`expr == observed`).
-    pub lit: Lit,
-    /// The offset-generalizing form of a concretization step, when a
-    /// region was known: engines add this *instead of* the pin literal,
-    /// and use the pin only as the solver's fallback.
-    pub range: Option<RangeConstraint>,
-    /// Why the literal exists.
+    /// The constraint this step asserts: a branch condition literal, or
+    /// a concretization's region range or equality pin
+    /// ([`concretization_step`]).
+    pub constraint: Constraint,
+    /// Why the constraint exists.
     pub origin: StepOrigin,
     /// The direction taken (meaningful for branch steps).
     pub taken: bool,
+}
+
+impl PathStep {
+    /// A branch step: the condition `expr` asserted the way `taken` says.
+    pub fn branch(bid: BranchId, expr: ExprRef, taken: bool) -> Self {
+        PathStep {
+            constraint: Constraint::Lit(Lit {
+                expr,
+                positive: taken,
+            }),
+            origin: StepOrigin::Branch(bid),
+            taken,
+        }
+    }
+
+    /// The branch location and condition literal of a branch step;
+    /// `None` for a concretization step.
+    pub fn as_branch(&self) -> Option<(BranchId, Lit)> {
+        match (self.origin, self.constraint) {
+            (StepOrigin::Branch(bid), Constraint::Lit(lit)) => Some((bid, lit)),
+            _ => None,
+        }
+    }
 }
 
 /// Which component of a `ptr + idx * stride` a concretization targets.
@@ -78,20 +98,20 @@ pub enum PtrComponent {
 
 /// Builds the path step concretizing one symbolic component of a pointer
 /// addition. Shared by the analysis host ([`SymHost`]) and the replay
-/// host.
+/// host, and the one place that decides a concretization's constraint.
 ///
-/// Under [`Concretization::RegionBounds`] with a live region, the
-/// constraint keeps the access in bounds instead of pinning it:
+/// Under [`Concretization::RegionBounds`] with a live region, the step
+/// keeps the access in bounds instead of pinning it:
 ///
 /// - a symbolic *index* `i` of `ptr + i*stride` (base at cell offset
 ///   `off` of a `cells`-cell object) is bounded to
 ///   `ceil(-off/stride) <= i <= floor((cells-1-off)/stride)`;
-/// - a symbolic *base* `p` of `p + idx*stride` is bounded to the object
-///   with stride alignment relative to the object start.
+/// - a symbolic *base* `p` of `p + idx*stride` is bounded to the object.
 ///
-/// The observed value always rides along; when it falls outside the
-/// computed bounds (dead object, exotic arithmetic) the step degrades to
-/// the pin.
+/// The range carries the observed value as a search hint. Without a
+/// region, under [`Concretization::Pin`], or when the observed value
+/// falls outside the computed bounds (dead object, exotic arithmetic),
+/// the step is the equality pin `expr == observed`.
 #[allow(clippy::too_many_arguments)]
 pub fn concretization_step(
     arena: &mut ExprArena,
@@ -103,40 +123,41 @@ pub fn concretization_step(
     other_observed: i64,
     region: Option<PtrRegion>,
 ) -> PathStep {
-    let c = arena.constant(observed);
-    let pin_expr = arena.bin(Op::Eq, expr, c);
-    let pin = Lit {
-        expr: pin_expr,
-        positive: true,
-    };
     let stride = stride.max(1) as i64;
-    let range = match (mode, region) {
+    let bounds = match (mode, region) {
         (Concretization::RegionBounds, Some(r)) if r.cells > 0 => {
             let cells = r.cells as i64;
-            let rc = match component {
+            Some(match component {
                 PtrComponent::Index => {
                     // Cell offset of the base pointer within its object.
                     let off = other_observed.wrapping_sub(r.base);
-                    let lo = div_ceil(-off, stride);
-                    let hi = div_floor(cells - 1 - off, stride);
-                    RangeConstraint::range(expr, lo, hi, observed)
+                    (div_ceil(-off, stride), div_floor(cells - 1 - off, stride))
                 }
                 PtrComponent::Base => {
                     let shift = other_observed.wrapping_mul(stride);
                     let lo = r.base.wrapping_sub(shift);
-                    let hi = r.base.wrapping_add(cells - 1).wrapping_sub(shift);
-                    RangeConstraint::aligned(expr, lo, hi, stride, r.base, observed)
+                    (lo, r.base.wrapping_add(cells - 1).wrapping_sub(shift))
                 }
-            };
-            // Sanity: the producing run's value must be admissible, or
-            // the region arithmetic does not describe this access.
-            (rc.lo <= rc.hi && rc.admits(observed)).then_some(rc)
+            })
         }
         _ => None,
     };
+    let constraint = match bounds {
+        // Sanity: the producing run's value must be admissible, or the
+        // region arithmetic does not describe this access.
+        Some((lo, hi)) if lo <= observed && observed <= hi => {
+            Constraint::Range(RangeConstraint::range(expr, lo, hi, observed))
+        }
+        _ => {
+            let c = arena.constant(observed);
+            Constraint::Lit(Lit {
+                expr: arena.bin(Op::Eq, expr, c),
+                positive: true,
+            })
+        }
+    };
     PathStep {
-        lit: pin,
-        range,
+        constraint,
         origin: StepOrigin::Concretization,
         taken: true,
     }
@@ -191,8 +212,6 @@ pub struct SymHost {
     pub nondet_values: Vec<(VarId, i64)>,
     /// Captured stdout.
     pub stdout: Vec<u8>,
-    /// Number of symbolic addresses concretized.
-    pub concretizations: u64,
     /// Concretizations that emitted the offset-generalizing range form.
     pub concretization_ranges: u64,
     /// Concretizations that fell back to (or were configured as) the pin.
@@ -218,7 +237,6 @@ impl SymHost {
             profile: Profile::new(n_branches),
             nondet_values: Vec::new(),
             stdout: Vec::new(),
-            concretizations: 0,
             concretization_ranges: 0,
             concretization_pins: 0,
             concretization: Concretization::default(),
@@ -291,7 +309,7 @@ impl Host for SymHost {
         region: Option<PtrRegion>,
     ) -> SymV {
         // Addresses stay concrete; each symbolic component is concretized
-        // with a region-bounds constraint (pin fallback) per the policy.
+        // with a region range or an equality pin per the policy.
         for (component, (val, sh), other) in [
             (PtrComponent::Base, ptr, idx.0),
             (PtrComponent::Index, idx, ptr.0),
@@ -307,8 +325,7 @@ impl Host for SymHost {
                     other,
                     region,
                 );
-                self.concretizations += 1;
-                if step.range.is_some() {
+                if matches!(step.constraint, Constraint::Range(_)) {
                     self.concretization_ranges += 1;
                 } else {
                     self.concretization_pins += 1;
@@ -347,15 +364,7 @@ impl Host for SymHost {
         self.labels.observe(bid, symbolic);
         self.profile.observe(bid, symbolic);
         if let Some(e) = cond.1 {
-            self.push_step(PathStep {
-                lit: Lit {
-                    expr: *e,
-                    positive: taken,
-                },
-                range: None,
-                origin: StepOrigin::Branch(bid),
-                taken,
-            });
+            self.push_step(PathStep::branch(bid, *e, taken));
         }
         Ok(0)
     }
@@ -479,7 +488,10 @@ mod tests {
         assert!(host.path[0].taken);
         assert_eq!(host.labels.count(crate::label::BranchLabel::Symbolic), 1);
         // The literal must be (in0 == 97).
-        assert_eq!(host.arena.display(host.path[0].lit.expr), "(in0 == 97)");
+        assert_eq!(
+            host.arena.display(host.path[0].constraint.expr()),
+            "(in0 == 97)"
+        );
     }
 
     #[test]
@@ -510,7 +522,7 @@ mod tests {
         "#;
         let (_, host) = run_symbolic(src, vec![b"p".to_vec(), b"Z".to_vec()], &[1]);
         assert_eq!(host.path.len(), 1);
-        let s = host.arena.display(host.path[0].lit.expr);
+        let s = host.arena.display(host.path[0].constraint.expr());
         assert!(s.contains("in0"), "condition must mention the input: {s}");
         assert!(s.contains("* 2"), "arithmetic must be recorded: {s}");
     }
@@ -526,7 +538,7 @@ mod tests {
             }
         "#;
         let (_, host) = run_symbolic(src, vec![b"p".to_vec(), b"5".to_vec()], &[1]);
-        assert!(host.concretizations >= 1);
+        assert!(host.concretization_ranges + host.concretization_pins >= 1);
         assert!(host
             .path
             .iter()
@@ -552,5 +564,81 @@ mod tests {
             .filter(|s| matches!(s.origin, StepOrigin::Branch(_)))
             .count();
         assert_eq!(branch_steps, 2);
+    }
+
+    /// [`concretization_step`], one case per arm: the region range of a
+    /// symbolic index (stride 1, and stride 4 from a mid-object base),
+    /// the plain object range of a symbolic base, and the equality pin
+    /// without a region, for an empty region, for an observed value
+    /// outside the bounds, and under [`Concretization::Pin`].
+    #[test]
+    fn concretization_step_builds_one_constraint_per_arm() {
+        use PtrComponent::{Base, Index};
+        let region = |cells| Some(PtrRegion { base: 1000, cells });
+        let rb = Concretization::RegionBounds;
+        // (case, mode, observed, component, stride, other component's
+        // observed value, region, range bounds or `None` for the pin)
+        let cases = [
+            (
+                "index, stride 1",
+                rb,
+                3,
+                Index,
+                1,
+                1000,
+                region(10),
+                Some((0, 9)),
+            ),
+            // off = 6: ceil(-6/4) = -1, floor((40-1-6)/4) = 8.
+            (
+                "index, stride 4",
+                rb,
+                2,
+                Index,
+                4,
+                1006,
+                region(40),
+                Some((-1, 8)),
+            ),
+            // idx 2 at stride 4 shifts the object's cells down by 8.
+            ("base", rb, 1000, Base, 4, 2, region(40), Some((992, 1031))),
+            ("no region", rb, 3, Index, 1, 1000, None, None),
+            ("empty region", rb, 0, Index, 1, 1000, region(0), None),
+            ("out of bounds", rb, 12, Index, 1, 1000, region(10), None),
+            (
+                "pin mode",
+                Concretization::Pin,
+                3,
+                Index,
+                1,
+                1000,
+                region(10),
+                None,
+            ),
+        ];
+        for (case, mode, observed, component, stride, other, region, bounds) in cases {
+            let mut arena = ExprArena::new();
+            let (_, x) = arena.fresh_var(VarInfo::byte());
+            let nodes = arena.len();
+            let step = concretization_step(
+                &mut arena, mode, x, observed, component, stride, other, region,
+            );
+            assert_eq!(step.origin, StepOrigin::Concretization, "{case}");
+            match bounds {
+                Some((lo, hi)) => {
+                    let rc = RangeConstraint::range(x, lo, hi, observed);
+                    assert_eq!(step.constraint, Constraint::Range(rc), "{case}");
+                    assert_eq!(arena.len(), nodes, "{case}: a range interns no pin");
+                }
+                None => {
+                    let c = arena.constant(observed);
+                    let pin = Lit {
+                        expr: arena.bin(Op::Eq, x, c),
+                        positive: true,
+                    };
+                    assert_eq!(step.constraint, Constraint::Lit(pin), "{case}");
+                }
+            }
+        }
     }
 }

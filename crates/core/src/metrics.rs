@@ -63,8 +63,6 @@ pub struct ReplayRow {
     pub concretization_ranges: u64,
     /// Concretizations pinned at emission.
     pub concretization_pins: u64,
-    /// Solver calls that fell back to the hard-pinned variant.
-    pub pin_fallbacks: u64,
     /// Earliest-suspect forced-set repairs scheduled.
     pub repairs: u64,
     /// Prefixes whose repair budget was cut off.
@@ -90,11 +88,11 @@ pub struct ReplayRow {
 }
 
 impl ReplayRow {
-    /// The pin-vs-range concretization cell: `ranges/pins+fallbacks`.
+    /// The range-vs-pin concretization cell: `ranges/pins`.
     pub fn concretization_cell(&self) -> String {
         format!(
-            "{}/{}+{}",
-            self.concretization_ranges, self.concretization_pins, self.pin_fallbacks
+            "{}/{}",
+            self.concretization_ranges, self.concretization_pins
         )
     }
 
@@ -127,12 +125,19 @@ impl ReplayRow {
         if !self.reproduced {
             return "∞".to_string();
         }
-        let work = if self.total_instrs >= 1_000_000 {
+        format!("{} / {}ms", self.work_cell(), self.wall_ms)
+    }
+
+    /// The table cell with the wall masked: work in instructions, or ∞
+    /// on timeout.
+    pub fn work_cell(&self) -> String {
+        if !self.reproduced {
+            "∞".to_string()
+        } else if self.total_instrs >= 1_000_000 {
             format!("{:.1}Mi", self.total_instrs as f64 / 1e6)
         } else {
             format!("{:.1}Ki", self.total_instrs as f64 / 1e3)
-        };
-        format!("{work} / {}ms", self.wall_ms)
+        }
     }
 }
 
@@ -271,7 +276,6 @@ mod tests {
             frontier_restarts: 0,
             concretization_ranges: 12,
             concretization_pins: 3,
-            pin_fallbacks: 2,
             repairs: 1,
             repair_cutoffs: 0,
             log_bits: 120,
@@ -283,7 +287,7 @@ mod tests {
             prefix_len_saved: 0,
         };
         assert_eq!(r.cell(), "∞");
-        assert_eq!(r.concretization_cell(), "12/3+2");
+        assert_eq!(r.concretization_cell(), "12/3");
         assert_eq!(r.repair_cell(), "1(0)");
         assert_eq!(r.spend_cell(), "120b");
         assert_eq!(r.cache_cell(), "0/5");

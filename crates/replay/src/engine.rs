@@ -219,11 +219,12 @@ impl<'p> ReplayEngine<'p> {
     /// attempt. Returns whether any repair was accepted.
     fn offer_repair_ladder(frontier: &mut Frontier, info: &ForcedInfo, attempt: usize) -> bool {
         for s in info.ladder().skip(attempt) {
-            let mut repair = ConstraintSet::new();
-            for st in &info.steps[..s] {
-                push_step(&mut repair, st);
-            }
-            repair.push(info.steps[s].lit.negated());
+            let Some((_, lit)) = info.steps[s].as_branch() else {
+                continue;
+            };
+            let mut repair: ConstraintSet =
+                info.steps[..s].iter().map(|st| st.constraint).collect();
+            repair.push(lit.negated());
             if frontier.offer_repair(search::signature(&repair), repair, info.seed.clone()) {
                 if std::env::var("RETRACE_REPLAY_TRACE").is_ok() {
                     eprintln!("  repair offered: suspect at step {s} (attempt {attempt})");
@@ -322,7 +323,7 @@ impl<'p> ReplayEngine<'p> {
         // Peel unary wrappers (Bool normalization, negations) off the
         // forced literal and match a byte-vs-constant comparison either
         // way around.
-        let mut e = last.lit.expr;
+        let mut e = last.constraint.expr();
         while let Node::Un(_, inner) = arena.node(e) {
             e = inner;
         }
@@ -349,10 +350,8 @@ impl<'p> ReplayEngine<'p> {
                 if start + lit.len() > n_controllable {
                     continue;
                 }
-                let mut cs = ConstraintSet::new();
-                for st in &run.path[..run.path.len() - 1] {
-                    push_step(&mut cs, st);
-                }
+                let steps = &run.path[..run.path.len() - 1];
+                let mut cs: ConstraintSet = steps.iter().map(|st| st.constraint).collect();
                 for (t, byte) in lit.iter().enumerate() {
                     let var = arena.var_expr(VarId((start + t) as u32));
                     let konst = arena.constant(i64::from(*byte));
@@ -534,29 +533,23 @@ impl GuidedEngine for Session<'_, '_> {
         // the same recovery flips and the same escalation evidence.
         let overrun = cursor_overrun || checkpoint_div;
         let path = &run.path;
-        let lits: Vec<Lit> = path.iter().map(|s| s.lit).collect();
-        // Every executed step's literal held under this run's input, so
-        // its prefixes are witnessed-satisfiable: register them so later
-        // candidates sharing one skip straight to the divergent suffix.
-        // A 2(b) abort's final literal points the *recorded* way, not
-        // the executed way — it is unwitnessed, so it never registers.
+        let prefix =
+            |n: usize| -> ConstraintSet { path[..n].iter().map(|s| s.constraint).collect() };
+        // Every executed step's constraint held under this run's input,
+        // so its prefixes are witnessed-satisfiable: register them so
+        // later candidates sharing one skip straight to the divergent
+        // suffix. A 2(b) abort's final literal points the *recorded*
+        // way, not the executed way — it is unwitnessed, so it never
+        // registers.
         if let Some(cache) = cache {
-            let cut = path.len().saturating_sub(usize::from(forced));
-            let executed = &path[..cut];
-            let reg_lits: Vec<Lit> = executed
-                .iter()
-                .filter(|s| s.range.is_none())
-                .map(|s| s.lit)
-                .collect();
-            let reg_ranges: Vec<solver::RangeConstraint> =
-                executed.iter().filter_map(|s| s.range).collect();
-            cache.register_path(arena, &reg_lits, &reg_ranges);
+            let executed = prefix(path.len().saturating_sub(usize::from(forced)));
+            cache.register_path(arena, &executed.lits, &executed.ranges);
         }
         frontier.begin_run();
         // Every candidate below is a path prefix plus one negated
         // literal: hash them all from one pass over the path, so the
         // frontier can reject a candidate before it is built.
-        let sigs = PrefixSigs::new(path.iter().map(|s| (s.lit, s.range)));
+        let sigs = PrefixSigs::new(path.iter().map(|s| s.constraint));
 
         // Syscall-divergence recovery: the run followed the branch log
         // but issued the wrong syscall, so the most recent unlogged
@@ -575,29 +568,28 @@ impl GuidedEngine for Session<'_, '_> {
             // direction, and negating it would just force the next
             // candidate into a 2(b) divergence at that spot.
             let unlogged_sym = |i: usize| {
-                i < engine.cfg.budget.max_pending_lits
-                    && matches!(path[i].origin, StepOrigin::Branch(b) if !engine.plan.covers(b))
-                    && !arena.is_concrete(lits[i].expr)
+                path[i].as_branch().filter(|&(b, lit)| {
+                    i < engine.cfg.budget.max_pending_lits
+                        && !engine.plan.covers(b)
+                        && !arena.is_concrete(lit.expr)
+                })
             };
-            let offer_flip = |frontier: &mut Frontier, d: usize| {
-                let neg = lits[d].negated();
-                let mut cs = ConstraintSet::new();
-                for st in &path[..d] {
-                    push_step(&mut cs, st);
-                }
+            let offer_flip = |frontier: &mut Frontier, d: usize, lit: Lit| {
+                let neg = lit.negated();
+                let mut cs = prefix(d);
                 cs.push(neg);
                 frontier.offer_priority(sigs.candidate(d, neg).0, cs, assignment.to_vec(), true);
             };
-            let recent = (0..lits.len()).rev().find(|&i| unlogged_sym(i));
-            if let Some(d) = recent {
-                offer_flip(frontier, d);
+            let recent = (0..path.len())
+                .rev()
+                .find_map(|i| unlogged_sym(i).map(|(b, lit)| (i, b, lit)));
+            if let Some((d, b, lit)) = recent {
+                offer_flip(frontier, d, lit);
                 // Escalation evidence: a syscall divergence is charged
                 // to its prime suspect — the branch whose unlogged
                 // decision the recovery flips.
                 if syscall_div {
-                    if let StepOrigin::Branch(b) = path[d].origin {
-                        self.book.escalation.loc_mut(b.0).syscall_divergences += 1;
-                    }
+                    self.book.escalation.loc_mut(b.0).syscall_divergences += 1;
                 }
             }
             // An overrun (or checkpoint divergence) names its own
@@ -616,19 +608,23 @@ impl GuidedEngine for Session<'_, '_> {
             // first); the dedup absorbs it when it IS the most
             // recent decision.
             if overrun {
-                let is_loop = |i: usize| {
-                    matches!(path[i].origin, StepOrigin::Branch(b) if matches!(
+                let is_loop = |b: minic::BranchId| {
+                    matches!(
                         engine.cp.branch(b).kind,
                         minic::BranchKind::While
                             | minic::BranchKind::DoWhile
                             | minic::BranchKind::For
-                    ))
+                    )
                 };
-                let loop_suspect = (0..lits.len())
-                    .rev()
-                    .find(|&i| unlogged_sym(i) && is_loop(i));
-                if let Some(d) = loop_suspect.filter(|d| Some(*d) != recent) {
-                    offer_flip(frontier, d);
+                let loop_suspect = (0..path.len()).rev().find_map(|i| {
+                    unlogged_sym(i)
+                        .filter(|&(b, _)| is_loop(b))
+                        .map(|(_, lit)| (i, lit))
+                });
+                if let Some((d, lit)) =
+                    loop_suspect.filter(|&(d, _)| recent.map(|r| r.0) != Some(d))
+                {
+                    offer_flip(frontier, d, lit);
                 }
             }
         }
@@ -637,11 +633,11 @@ impl GuidedEngine for Session<'_, '_> {
         // the strategy's order (caps, quotas and dedup live in the
         // frontier; the caps bound quadratic prefix copying on long
         // server paths).
-        for i in engine.cfg.budget.policy.strategy.offer_order(lits.len()) {
+        for i in engine.cfg.budget.policy.strategy.offer_order(path.len()) {
             if frontier.run_full() {
                 break;
             }
-            let StepOrigin::Branch(bid) = path[i].origin else {
+            let Some((bid, lit)) = path[i].as_branch() else {
                 continue;
             };
             if !frontier.depth_ok(i + 1) {
@@ -649,19 +645,16 @@ impl GuidedEngine for Session<'_, '_> {
             }
             // In a 2(b) abort the final literal is already forced;
             // don't negate it.
-            if forced && i == lits.len() - 1 {
+            if forced && i == path.len() - 1 {
                 continue;
             }
-            if arena.is_concrete(lits[i].expr) {
+            if arena.is_concrete(lit.expr) {
                 continue;
             }
-            let neg = lits[i].negated();
+            let neg = lit.negated();
             let (sig, n_lits) = sigs.candidate(i, neg);
             frontier.offer(sig, n_lits, Some(bid.0), || {
-                let mut cs = ConstraintSet::new();
-                for st in &path[..i] {
-                    push_step(&mut cs, st);
-                }
+                let mut cs = prefix(i);
                 cs.push(neg);
                 (cs, assignment.to_vec())
             });
@@ -685,10 +678,7 @@ impl GuidedEngine for Session<'_, '_> {
                 self.book.bits_high_water = run.stats.bits_consumed;
                 self.book.tracker.reset_bursts();
             }
-            let mut cs = ConstraintSet::new();
-            for st in path {
-                push_step(&mut cs, st);
-            }
+            let cs = prefix(path.len());
             let rp = engine.cfg.budget.policy.forced_repair;
             let mut info_for_meta = None;
             if rp.enabled {
@@ -700,8 +690,8 @@ impl GuidedEngine for Session<'_, '_> {
                     .iter()
                     .enumerate()
                     .filter(|(_, st)| {
-                        matches!(st.origin, StepOrigin::Branch(b) if !engine.plan.covers(b))
-                            && !arena.is_concrete(st.lit.expr)
+                        matches!(st.as_branch(), Some((b, lit))
+                            if !engine.plan.covers(b) && !arena.is_concrete(lit.expr))
                     })
                     .map(|(i, _)| i)
                     .take(window)
@@ -791,10 +781,6 @@ impl GuidedEngine for Session<'_, '_> {
             }
         }
     }
-
-    fn progress(&self) -> Option<u64> {
-        Some(self.book.bits_high_water)
-    }
 }
 
 /// Everything one replay run leaves behind: the outcome, the argv it
@@ -862,15 +848,5 @@ impl ForcedInfo {
     /// deepest-first is exactly what plain DFS already retried.
     fn ladder(&self) -> impl Iterator<Item = usize> + '_ {
         self.suspects.iter().copied()
-    }
-}
-
-/// Appends one path step to a pending constraint set: the
-/// offset-generalizing range form when the step has one, its literal
-/// (branch condition or emission-time pin) otherwise.
-fn push_step(cs: &mut ConstraintSet, step: &PathStep) {
-    match step.range {
-        Some(rc) => cs.push_range(rc),
-        None => cs.push(step.lit),
     }
 }

@@ -23,7 +23,7 @@
 use crate::env::{ReplayEnv, SyscallDivergence};
 use concolic::{
     concretization_step, map_binop, map_unop, Concretization, InputVars, PathStep, PtrComponent,
-    StepOrigin, SymV,
+    SymV,
 };
 use instrument::{CursorTable, Plan, TraceLog};
 use minic::ast::{BinOp, UnOp};
@@ -32,7 +32,7 @@ use minic::memory::Memory;
 use minic::types::Sys;
 use minic::vm::{CrashKind, Host, HostStop, PtrRegion};
 use minic::{BranchId, Loc};
-use solver::{ExprArena, ExprRef, Lit, Op, VarId, VarInfo};
+use solver::{Constraint, ExprArena, ExprRef, Op, VarId, VarInfo};
 use std::collections::BTreeSet;
 
 /// Host abort reason marking successful arrival at the crash site.
@@ -322,7 +322,7 @@ impl Host for ReplayHost {
                     other,
                     region,
                 );
-                if step.range.is_some() {
+                if matches!(step.constraint, Constraint::Range(_)) {
                     self.stats.concretization_ranges += 1;
                 } else {
                     self.stats.concretization_pins += 1;
@@ -385,15 +385,7 @@ impl Host for ReplayHost {
                 // symbolic condition still joins the path condition so
                 // candidate inputs keep satisfying it.
                 if let Some(e) = cond.1 {
-                    self.path.push(PathStep {
-                        lit: Lit {
-                            expr: *e,
-                            positive: taken,
-                        },
-                        range: None,
-                        origin: StepOrigin::Branch(bid),
-                        taken,
-                    });
+                    self.path.push(PathStep::branch(bid, *e, taken));
                 }
                 return Ok(0);
             }
@@ -403,15 +395,7 @@ impl Host for ReplayHost {
             // machinery has nothing to key on here.
             self.stats.divergent_branch = Some((bid.0, cond.1.is_some()));
             if let Some(e) = cond.1 {
-                self.path.push(PathStep {
-                    lit: Lit {
-                        expr: *e,
-                        positive: implied,
-                    },
-                    range: None,
-                    origin: StepOrigin::Branch(bid),
-                    taken: implied,
-                });
+                self.path.push(PathStep::branch(bid, *e, implied));
                 self.stats.forced_abort = true;
             }
             return Err(self.divergence());
@@ -424,15 +408,7 @@ impl Host for ReplayHost {
             (true, false) => {
                 self.stats.sym_unlogged_execs += 1;
                 let e = cond.1.expect("symbolic condition has a shadow");
-                self.path.push(PathStep {
-                    lit: Lit {
-                        expr: e,
-                        positive: taken,
-                    },
-                    range: None,
-                    origin: StepOrigin::Branch(bid),
-                    taken,
-                });
+                self.path.push(PathStep::branch(bid, e, taken));
                 Ok(0)
             }
             // Case 2: symbolic, instrumented.
@@ -453,43 +429,19 @@ impl Host for ReplayHost {
                             self.note_divergence(bid, true, false);
                             return Err(HostStop::Abort(CURSOR_OVERRUN.to_string()));
                         }
-                        self.path.push(PathStep {
-                            lit: Lit {
-                                expr: e,
-                                positive: taken,
-                            },
-                            range: None,
-                            origin: StepOrigin::Branch(bid),
-                            taken,
-                        });
+                        self.path.push(PathStep::branch(bid, e, taken));
                         Ok(0)
                     }
                     Some(recorded) if recorded == taken => {
                         // Case 2(a): agreement.
-                        self.path.push(PathStep {
-                            lit: Lit {
-                                expr: e,
-                                positive: taken,
-                            },
-                            range: None,
-                            origin: StepOrigin::Branch(bid),
-                            taken,
-                        });
+                        self.path.push(PathStep::branch(bid, e, taken));
                         Ok(0)
                     }
                     Some(recorded) => {
                         // Case 2(b): mismatch — append the constraint
                         // forcing the *recorded* direction and abort; the
                         // engine queues this path as a pending set.
-                        self.path.push(PathStep {
-                            lit: Lit {
-                                expr: e,
-                                positive: recorded,
-                            },
-                            range: None,
-                            origin: StepOrigin::Branch(bid),
-                            taken: recorded,
-                        });
+                        self.path.push(PathStep::branch(bid, e, recorded));
                         self.stats.forced_abort = true;
                         self.note_divergence(bid, true, true);
                         Err(self.divergence())

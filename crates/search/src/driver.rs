@@ -6,8 +6,8 @@
 //! model. They differ only in what a run records and when the search
 //! succeeds — which is what a [`GuidedEngine`] supplies. [`drive`] owns
 //! everything else: the expression arena, the frontier, the prefix
-//! cache, solver seeding, drain restarts and dedup resets, the run and
-//! wall budgets, and the [`SearchCounters`].
+//! cache, solver seeding, drain restarts, the run and wall budgets, and
+//! the [`SearchCounters`].
 //!
 //! Each round pops up to `width = workers.max(1)` pending sets, solves
 //! them against the frozen central arena (on `width` threads, via
@@ -68,13 +68,6 @@ pub trait GuidedEngine: Sync {
     /// when [`unsat_touches_frontier`](Self::unsat_touches_frontier)
     /// said so, after the speculative tail is back in the frontier.
     fn on_unsat(&mut self, _sig: u128, _frontier: &mut Frontier) {}
-
-    /// The drain-progress mark. When the frontier drains (and no restart
-    /// applies), the driver clears the dedup table and reruns the current
-    /// candidate once per advance of this mark. `None` never resets.
-    fn progress(&self) -> Option<u64> {
-        None
-    }
 }
 
 /// Why a search stopped.
@@ -86,8 +79,7 @@ pub enum End {
     RunBudget,
     /// The wall-clock cap (`max_wall_ms`) expired.
     Wall,
-    /// The frontier drained with budget left, and neither a restart nor
-    /// a dedup reset applied.
+    /// The frontier drained with budget left, and no restart applied.
     Drained,
 }
 
@@ -100,9 +92,6 @@ pub struct SearchCounters {
     pub runs: usize,
     /// Committed solver calls.
     pub solver_calls: usize,
-    /// Solver calls that retried with the hard-pinned variant after the
-    /// bounded form went unsolved.
-    pub pin_fallbacks: u64,
     /// Committed solver calls that started from a cached path prefix.
     pub cache_hits: u64,
     /// Committed solver calls that found no cached prefix (including all
@@ -117,7 +106,6 @@ pub struct SearchCounters {
 impl SearchCounters {
     fn note_solve(&mut self, stats: &SolveStats) {
         self.solver_calls += 1;
-        self.pin_fallbacks += u64::from(stats.pin_fallback);
         if stats.prefix_hit {
             self.cache_hits += 1;
         } else {
@@ -179,10 +167,6 @@ pub fn drive<E: GuidedEngine>(
     // A run a committed SAT job already executed, carried into the next
     // round.
     let mut staged: Option<E::Run> = None;
-    // The progress mark at the last dedup reset: a drain earns a fresh
-    // re-derivation epoch only after the mark advances, so resets cannot
-    // loop.
-    let mut reset_mark: Option<u64> = None;
 
     let (end, last_run) = 'search: loop {
         let run = match staged.take() {
@@ -235,7 +219,7 @@ pub fn drive<E: GuidedEngine>(
                     seed: mix_seed(seed, (base_calls + i + 1) as u64),
                     ..solve.clone()
                 };
-                let (model, stats) = solver::solve_or_pin_ro_cached(
+                let (model, stats) = solver::solve_with_stats_cached(
                     central,
                     &set.cs,
                     Some(&set.seed),
@@ -299,13 +283,6 @@ pub fn drive<E: GuidedEngine>(
             assignment = seeded_assignment(n_inputs, mix_seed(seed, r));
             continue;
         }
-        if let Some(mark) = engine.progress() {
-            if frontier.ever_scheduled() && reset_mark.is_none_or(|m| mark > m) {
-                reset_mark = Some(mark);
-                frontier.reset_dedup();
-                continue;
-            }
-        }
         break (End::Drained, run);
     };
 
@@ -323,8 +300,7 @@ pub fn drive<E: GuidedEngine>(
 mod tests {
     use super::*;
     use crate::PrefixSigs;
-    use solver::{ConstraintSet, Lit, Op, VarId, VarInfo};
-    use std::sync::Mutex;
+    use solver::{Constraint, ConstraintSet, Lit, Op, VarId, VarInfo};
 
     /// A scripted engine over a few byte inputs, with no VM: a run
     /// branches on `x_i == target[i]` for every byte, then on
@@ -334,16 +310,12 @@ mod tests {
         target: Vec<i64>,
         /// Reaching the target ends the search.
         succeed: bool,
-        /// Drain-progress mark: the observed run count, capped here.
-        progress_cap: Option<u64>,
         /// Every run sleeps 2 ms (for the wall-clock cap).
         nap: bool,
         /// The last banked path; UNSAT answers reuse its literals.
         last_path: Vec<Lit>,
         /// Assignments of the observed runs, in commit order.
         observed: Vec<Vec<i64>>,
-        /// Marks handed to the driver, one per drain that asked.
-        marks: Mutex<Vec<u64>>,
     }
 
     struct ToyRun {
@@ -396,7 +368,7 @@ mod tests {
             if let Some(cache) = cache {
                 cache.register_path(arena, &run.path, &[]);
             }
-            let sigs = PrefixSigs::new(run.path.iter().map(|&l| (l, None)));
+            let sigs = PrefixSigs::new(run.path.iter().map(|&l| Constraint::Lit(l)));
             frontier.begin_run();
             for i in frontier.policy().strategy.offer_order(run.path.len()) {
                 let neg = run.path[i].negated();
@@ -426,12 +398,6 @@ mod tests {
             let seed = self.observed.last().expect("a run was observed").clone();
             frontier.offer_priority(crate::signature(&cs), cs, seed, false);
         }
-
-        fn progress(&self) -> Option<u64> {
-            let mark = self.progress_cap?.min(self.observed.len() as u64);
-            self.marks.lock().unwrap().push(mark);
-            Some(mark)
-        }
     }
 
     const SEED: u64 = 7;
@@ -440,11 +406,9 @@ mod tests {
         Toy {
             target: b"go!".iter().map(|&b| i64::from(b)).collect(),
             succeed: true,
-            progress_cap: None,
             nap: false,
             last_path: Vec::new(),
             observed: Vec::new(),
-            marks: Mutex::default(),
         }
     }
 
@@ -479,25 +443,11 @@ mod tests {
                     End::RunBudget,
                 )
             }
-            "dedup reset" => {
-                let toy = Toy {
-                    progress_cap: Some(60),
-                    ..stuck
-                };
-                (toy, limits, End::Drained)
-            }
             _ => unreachable!("unknown scenario {name}"),
         }
     }
 
-    const SCENARIOS: [&str; 6] = [
-        "success",
-        "run budget",
-        "wall",
-        "drained",
-        "restart",
-        "dedup reset",
-    ];
+    const SCENARIOS: [&str; 5] = ["success", "run budget", "wall", "drained", "restart"];
 
     /// Drives a scenario's toy at `width`.
     fn drive_toy(name: &str, width: usize) -> (Toy, Finish<ToyRun>, End) {
@@ -544,7 +494,7 @@ mod tests {
                     f.counters.solver_calls,
                     fs.solved_sigs.clone(),
                     fs.committed,
-                    (fs.restarts, fs.dedup_resets, fs.priority_scheduled),
+                    (fs.restarts, fs.priority_scheduled),
                     f.arena_nodes,
                     toy.observed,
                     f.last_assignment,
@@ -586,12 +536,10 @@ mod tests {
     }
 
     #[test]
-    fn driver_drains_to_exhaustion_without_restart_or_progress() {
-        let (toy, f, _) = drive_toy("drained", 1);
+    fn driver_drains_to_exhaustion_without_restart() {
+        let (_, f, _) = drive_toy("drained", 1);
         assert_eq!(f.end, End::Drained);
-        let fs = &f.counters.frontier;
-        assert_eq!((fs.restarts, fs.dedup_resets), (0, 0));
-        assert!(toy.marks.lock().unwrap().is_empty(), "no progress mark");
+        assert_eq!(f.counters.frontier.restarts, 0);
     }
 
     #[test]
@@ -603,28 +551,6 @@ mod tests {
         assert!(
             toy.observed.contains(&first_restart),
             "restart r runs seeded_assignment(n, mix_seed(seed, r))"
-        );
-        assert!(toy.marks.lock().unwrap().is_empty(), "restarts come first");
-    }
-
-    #[test]
-    fn driver_resets_dedup_once_per_progress_advance() {
-        let (toy, f, _) = drive_toy("dedup reset", 1);
-        assert_eq!(f.end, End::Drained);
-        let resets = f.counters.frontier.dedup_resets;
-        let marks = toy.marks.into_inner().unwrap();
-        assert!(resets >= 2, "the mark advanced more than once: {marks:?}");
-        let mut distinct = marks.clone();
-        distinct.dedup();
-        assert_eq!(
-            resets,
-            distinct.len() as u64,
-            "one reset per advance: {marks:?}"
-        );
-        assert_eq!(
-            marks.len() as u64,
-            resets + 1,
-            "the drain after the last advance ends the search: {marks:?}"
         );
     }
 }

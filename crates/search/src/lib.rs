@@ -46,7 +46,7 @@
 //! sets an earlier run already banked, so most candidates are never
 //! built at all.
 
-use solver::{ConstraintSet, FastMap, FastSet, Fnv128, Lit, RangeConstraint};
+use solver::{Constraint, ConstraintSet, FastMap, FastSet, Fnv128, Lit, RangeConstraint};
 
 pub mod driver;
 pub mod limits;
@@ -334,9 +334,6 @@ pub struct FrontierStats {
     /// Times the frontier drained and the engine restarted from a fresh
     /// seed (the starvation counter).
     pub restarts: u64,
-    /// Times the dedup table was reset after a drain (re-derivation
-    /// epochs; see [`Frontier::reset_dedup`]).
-    pub dedup_resets: u64,
     /// UNSAT solver verdicts on forced (2(b)) sets.
     pub forced_unsat: u64,
     /// Earliest-suspect repaired prefixes scheduled on the priority lane.
@@ -470,9 +467,9 @@ pub struct Frontier {
 }
 
 /// 128-bit FNV-1a over the full `(ExprRef, bool)` literal vector plus
-/// every range constraint's full shape. Public so the replay engine can
-/// key its forced-set metadata and the repair tracker on the same
-/// identity the dedup uses. Built on the solver's shared [`Fnv128`]
+/// every range constraint's expression and bounds. Public so the replay
+/// engine can key its forced-set metadata and the repair tracker on the
+/// same identity the dedup uses. Built on the solver's shared [`Fnv128`]
 /// primitive — the same mixing the prefix solve cache hashes literal
 /// prefixes with, so the two identities cannot drift apart (the hash
 /// values here are pinned: goldens depend on the dedup order).
@@ -490,9 +487,9 @@ pub fn signature(cs: &ConstraintSet) -> u128 {
 /// The signatures of one run's candidate sets, known before any set is
 /// built.
 ///
-/// A run's path is a sequence of steps, each contributing its range form
-/// when it has one and its literal otherwise; a candidate is a path
-/// prefix plus one appended literal (usually the next step's negation).
+/// A run's path is a sequence of steps, each contributing one
+/// constraint, a literal or a range; a candidate is a path prefix plus
+/// one appended literal (usually the next step's negation).
 /// One pass over the path records the running hash after each prefix's
 /// literals, so [`candidate`](Self::candidate) answers
 /// `signature(steps[..i] + lit)` with one literal mix — plus one range
@@ -509,17 +506,17 @@ pub struct PrefixSigs {
 }
 
 impl PrefixSigs {
-    /// Hashes a path given as `(literal, range form)` steps.
-    pub fn new(steps: impl IntoIterator<Item = (Lit, Option<RangeConstraint>)>) -> Self {
+    /// Hashes a path given as its steps' constraints.
+    pub fn new(steps: impl IntoIterator<Item = Constraint>) -> Self {
         let steps = steps.into_iter();
         let mut lit_states = Vec::with_capacity(steps.size_hint().0 + 1);
         let mut ranges = Vec::new();
         let mut h = Fnv128::new();
         lit_states.push(h);
-        for (i, (lit, range)) in steps.enumerate() {
-            match range {
-                Some(rc) => ranges.push((i, rc)),
-                None => h.mix_lit(&lit),
+        for (i, step) in steps.enumerate() {
+            match step {
+                Constraint::Range(rc) => ranges.push((i, rc)),
+                Constraint::Lit(lit) => h.mix_lit(&lit),
             }
             lit_states.push(h);
         }
@@ -872,19 +869,6 @@ impl Frontier {
         self.stats.restarts += 1;
     }
 
-    /// Forgets every dedup signature, opening a fresh re-derivation
-    /// epoch. The dedup table is a redundancy-suppression optimization,
-    /// not a soundness device: when the frontier starves (every set the
-    /// search still needs has been consumed or suppressed), the engine
-    /// may clear it and re-offer from the current candidate — whose seeds
-    /// and prefixes have moved far beyond the ones the suppressed sets
-    /// were solved with. Callers gate this on visible progress so
-    /// back-to-back resets cannot loop.
-    pub fn reset_dedup(&mut self) {
-        self.seen.clear();
-        self.stats.dedup_resets += 1;
-    }
-
     /// True if any set was ever accepted — the restart gate (a program
     /// with no symbolic branches never restarts).
     pub fn ever_scheduled(&self) -> bool {
@@ -1137,34 +1121,27 @@ mod tests {
             ),
             extra in 0u32..24,
         ) {
-            use solver::RangeConstraint;
-            let steps: Vec<(Lit, Option<RangeConstraint>)> = steps
+            let steps: Vec<Constraint> = steps
                 .iter()
                 .map(|&(id, positive, kind, v)| {
-                    let lit = Lit { expr: ExprRef(id), positive };
-                    // One step in three carries a range form.
-                    let range = (kind == 0).then(|| RangeConstraint {
-                        expr: ExprRef(id),
-                        lo: v,
-                        hi: v + i64::from(id),
-                        align: i64::from(id % 4),
-                        phase: v % 3,
-                        observed: v,
-                    });
-                    (lit, range)
+                    // One step in three is a range.
+                    if kind == 0 {
+                        Constraint::Range(RangeConstraint::range(
+                            ExprRef(id),
+                            v,
+                            v + i64::from(id),
+                            v,
+                        ))
+                    } else {
+                        Constraint::Lit(Lit { expr: ExprRef(id), positive })
+                    }
                 })
                 .collect();
             let sigs = PrefixSigs::new(steps.iter().copied());
             for i in 0..=steps.len() {
                 for positive in [false, true] {
                     let lit = Lit { expr: ExprRef(extra), positive };
-                    let mut cs = ConstraintSet::new();
-                    for &(l, r) in &steps[..i] {
-                        match r {
-                            Some(rc) => cs.push_range(rc),
-                            None => cs.push(l),
-                        }
-                    }
+                    let mut cs: ConstraintSet = steps[..i].iter().copied().collect();
                     cs.push(lit);
                     proptest::prop_assert_eq!(sigs.candidate(i, lit), (signature(&cs), cs.len()));
                 }
@@ -1409,7 +1386,6 @@ mod tests {
 
     #[test]
     fn signature_distinguishes_range_constraints() {
-        use solver::RangeConstraint;
         let base = set(&[1, 2]);
         let mut with_range = base.clone();
         with_range.push_range(RangeConstraint::range(ExprRef(7), 0, 10, 3));

@@ -69,10 +69,9 @@ impl VarInfo {
 /// An immutable, generation-stamped prefix of an arena.
 ///
 /// Produced by [`ExprArena::freeze`] and shared by reference count: a
-/// cloned arena (e.g. a parallel worker's scratch copy, or the
-/// read-only pin-fallback clone inside the solver) costs one `Arc`
-/// bump for the frozen prefix instead of copying every node and intern
-/// entry. Nothing ever mutates a snapshot after freeze — a later
+/// cloned arena (e.g. the clone a SAT job runs its model on) costs one
+/// `Arc` bump for the frozen prefix instead of copying every node and
+/// intern entry. Nothing ever mutates a snapshot after freeze — a later
 /// `freeze` that must extend a *shared* snapshot copies its core into
 /// a fresh snapshot with a higher generation, so every generation
 /// number names one immutable node prefix forever. The prefix solve

@@ -79,15 +79,13 @@ impl Fnv128 {
         self.mix(l.positive as u128);
     }
 
-    /// Mixes one range constraint's full shape. `observed` is a hint,
-    /// not an identity (and propagation never reads it), so it stays
-    /// out of the hash.
+    /// Mixes one range constraint: its expression id and bounds.
+    /// `observed` is a hint, not an identity (and propagation never
+    /// reads it), so it stays out of the hash.
     pub fn mix_range(&mut self, rc: &RangeConstraint) {
         self.mix(0x5eed_0000_0000_0000u128 ^ rc.expr.0 as u128);
         self.mix(rc.lo as u128);
         self.mix(rc.hi as u128);
-        self.mix(rc.align as u128);
-        self.mix(rc.phase as u128);
     }
 
     /// The current hash value.

@@ -12,14 +12,12 @@
 //! (`expr == observed`) as a literal. Pins over-constrain: a forced replay
 //! prefix that needs a *different* stream offset becomes unsatisfiable
 //! even though any in-bounds offset would do. [`RangeConstraint`] is the
-//! generalized form — `lo <= expr <= hi`, optionally with an alignment
-//! requirement and always carrying the observed witness value so engines
-//! can fall back to the hard pin when the bounded form defeats the
-//! stochastic search.
+//! generalized form — `lo <= expr <= hi`, carrying the observed witness
+//! value as a search hint. A path step asserts one [`Constraint`]:
+//! a literal or a range.
 
 use crate::arena::{ExprArena, ExprRef};
 use crate::interval::{range, Interval};
-use crate::op::Op;
 
 /// One literal: an expression asserted truthy (`positive`) or falsy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,23 +53,11 @@ impl Lit {
     }
 }
 
-/// A first-class interval constraint: `lo <= expr <= hi`, optionally with
-/// an alignment requirement `(expr - phase) % align == 0`.
-///
-/// The constraint vocabulary, by constructor:
-///
-/// - [`RangeConstraint::pin`] — the classic equality pin (`expr == v`,
-///   a point interval);
-/// - [`RangeConstraint::range`] — a plain interval;
-/// - [`RangeConstraint::aligned`] — an interval plus a stride/phase
-///   alignment (element pointers into an array of stride > 1);
-/// - [`RangeConstraint::in_region`] — in-bounds-of-region sugar:
-///   `base <= expr <= base + len - 1`.
+/// A first-class interval constraint: `lo <= expr <= hi`.
 ///
 /// `observed` is the value the concretized expression actually took in
-/// the producing run. It is both a search hint (the solver snaps toward
-/// it) and the target of the pin fallback (see
-/// [`ConstraintSet::pinned`]).
+/// the producing run: a search hint (the solver snaps toward it), not
+/// part of the constraint's identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RangeConstraint {
     /// The constrained expression.
@@ -80,65 +66,29 @@ pub struct RangeConstraint {
     pub lo: i64,
     /// Largest allowed value (inclusive).
     pub hi: i64,
-    /// Alignment step; `<= 1` means no alignment requirement.
-    pub align: i64,
-    /// Alignment phase: allowed values satisfy
-    /// `(value - phase) % align == 0`.
-    pub phase: i64,
     /// The witness value observed when the constraint was emitted.
     pub observed: i64,
 }
 
 impl RangeConstraint {
-    /// A plain interval constraint `lo <= expr <= hi`.
+    /// The interval constraint `lo <= expr <= hi`.
     pub fn range(expr: ExprRef, lo: i64, hi: i64, observed: i64) -> Self {
         RangeConstraint {
             expr,
             lo,
             hi,
-            align: 1,
-            phase: 0,
             observed,
         }
     }
 
-    /// An interval constraint with an alignment requirement.
-    pub fn aligned(expr: ExprRef, lo: i64, hi: i64, align: i64, phase: i64, observed: i64) -> Self {
-        RangeConstraint {
-            expr,
-            lo,
-            hi,
-            align: align.max(1),
-            phase,
-            observed,
-        }
-    }
-
-    /// In-bounds-of-region sugar: `base <= expr < base + len`.
-    pub fn in_region(expr: ExprRef, base: i64, len: i64, observed: i64) -> Self {
-        Self::range(expr, base, base.saturating_add(len.max(1) - 1), observed)
-    }
-
-    /// The classic hard pin: a point interval at `v`.
-    pub fn pin(expr: ExprRef, v: i64) -> Self {
-        Self::range(expr, v, v, v)
-    }
-
-    /// True when the constraint admits exactly one value.
-    pub fn is_pin(&self) -> bool {
-        self.lo == self.hi
-    }
-
-    /// The constraint's interval (bounds only; alignment not encoded).
+    /// The constraint's interval.
     pub fn interval(&self) -> Interval {
         Interval::new(self.lo, self.hi)
     }
 
-    /// Whether a concrete value satisfies bounds and alignment.
+    /// Whether a concrete value lies within the bounds.
     pub fn admits(&self, v: i64) -> bool {
-        v >= self.lo
-            && v <= self.hi
-            && (self.align <= 1 || (v as i128 - self.phase as i128) % self.align as i128 == 0)
+        self.lo <= v && v <= self.hi
     }
 
     /// Whether the constraint holds under an assignment.
@@ -147,34 +97,50 @@ impl RangeConstraint {
     }
 
     /// Whether no value in `r`, a sound range of the expression, is
-    /// admissible (bounds and alignment).
+    /// admissible.
     pub fn excluded_by(&self, r: Interval) -> bool {
-        match r.intersect(&self.interval()) {
-            None => true,
-            Some(meet) => meet.align_to(self.align, self.phase).is_none(),
+        r.intersect(&self.interval()).is_none()
+    }
+
+    /// The value of the constraint's interval nearest to `v`.
+    pub fn snap(&self, v: i64) -> i64 {
+        let i = self.interval();
+        v.clamp(i.lo, i.hi)
+    }
+}
+
+/// One constraint of a path: a literal or a range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Constraint {
+    /// A branch condition or an equality pin.
+    Lit(Lit),
+    /// A concretization range.
+    Range(RangeConstraint),
+}
+
+impl Constraint {
+    /// The constrained expression.
+    pub fn expr(&self) -> ExprRef {
+        match self {
+            Constraint::Lit(l) => l.expr,
+            Constraint::Range(rc) => rc.expr,
         }
     }
 
-    /// The admissible value nearest to `v` (ties toward the lower one);
-    /// `None` when the constraint admits nothing.
-    pub fn snap(&self, v: i64) -> Option<i64> {
-        // `align_to` leaves the bounds on aligned points, so after
-        // clamping, rounding down always stays in range.
-        let legal = self.interval().align_to(self.align, self.phase)?;
-        let clamped = v.clamp(legal.lo, legal.hi);
-        if self.align <= 1 {
-            return Some(clamped);
+    /// The same constraint over another expression.
+    pub fn with_expr(self, expr: ExprRef) -> Constraint {
+        match self {
+            Constraint::Lit(l) => Constraint::Lit(Lit { expr, ..l }),
+            Constraint::Range(rc) => Constraint::Range(RangeConstraint { expr, ..rc }),
         }
-        let rem = (clamped as i128 - self.phase as i128).rem_euclid(self.align as i128) as i64;
-        if rem == 0 {
-            return Some(clamped);
-        }
-        let down = clamped - rem;
-        let up = down.saturating_add(self.align);
-        if up <= legal.hi && (up - v) < (v - down) {
-            Some(up)
-        } else {
-            Some(down)
+    }
+
+    /// Whether the constraint fails for every value in `r`, a sound
+    /// range of its expression.
+    pub fn excluded_by(&self, r: Interval) -> bool {
+        match self {
+            Constraint::Lit(l) => l.excluded_by(r),
+            Constraint::Range(rc) => rc.excluded_by(r),
         }
     }
 }
@@ -206,19 +172,12 @@ impl ConstraintSet {
     }
 
     /// Number of literals (the scheduling depth; range constraints are
-    /// concretization side-conditions, not branch decisions, and are
-    /// counted by [`n_constraints`](Self::n_constraints)).
+    /// concretization side-conditions, not branch decisions).
     pub fn len(&self) -> usize {
         self.lits.len()
     }
 
-    /// Total constraints: literals plus range constraints.
-    pub fn n_constraints(&self) -> usize {
-        self.lits.len() + self.ranges.len()
-    }
-
-    /// True when the set carries range constraints (and therefore has a
-    /// pinned fallback variant).
+    /// True when the set carries range constraints.
     pub fn has_ranges(&self) -> bool {
         !self.ranges.is_empty()
     }
@@ -226,31 +185,6 @@ impl ConstraintSet {
     /// True if there are no literals and no range constraints.
     pub fn is_empty(&self) -> bool {
         self.lits.is_empty() && self.ranges.is_empty()
-    }
-
-    /// The hard-pinned variant: every range constraint replaced by an
-    /// equality literal on its observed witness value. This is the
-    /// pre-generalization behavior, used as a fallback when the bounded
-    /// form defeats the (incomplete) stochastic search. The pins go
-    /// *before* the path literals: they are trivially invertible, and the
-    /// solver's repair loop works items in order, so pins-first lets one
-    /// inversion each re-establish the observed addresses before the
-    /// search attacks the branch literals.
-    pub fn pinned(&self, arena: &mut ExprArena) -> ConstraintSet {
-        let mut lits = Vec::with_capacity(self.lits.len() + self.ranges.len());
-        for rc in &self.ranges {
-            let c = arena.constant(rc.observed);
-            let eq = arena.bin(Op::Eq, rc.expr, c);
-            lits.push(Lit {
-                expr: eq,
-                positive: true,
-            });
-        }
-        lits.extend(self.lits.iter().copied());
-        ConstraintSet {
-            lits,
-            ranges: Vec::new(),
-        }
     }
 
     /// The set consisting of the first `n` literals plus the negation of
@@ -334,24 +268,36 @@ impl ConstraintSet {
             })
             .collect();
         for rc in &self.ranges {
-            let e = arena.display(rc.expr);
-            let mut s = format!("{} <= {e} <= {}", rc.lo, rc.hi);
-            if rc.align > 1 {
-                s.push_str(&format!(
-                    " (mod {} = {})",
-                    rc.align,
-                    rc.phase.rem_euclid(rc.align)
-                ));
-            }
-            parts.push(s);
+            parts.push(format!(
+                "{} <= {} <= {}",
+                rc.lo,
+                arena.display(rc.expr),
+                rc.hi
+            ));
         }
         parts.join(" && ")
     }
 }
 
-/// Range of a literal's expression (re-exported convenience).
-pub fn lit_range(arena: &ExprArena, lit: &Lit) -> Interval {
-    range(arena, lit.expr)
+/// Appends path steps' constraints: literals and ranges, each to its
+/// own list, in order.
+impl Extend<Constraint> for ConstraintSet {
+    fn extend<I: IntoIterator<Item = Constraint>>(&mut self, steps: I) {
+        for c in steps {
+            match c {
+                Constraint::Lit(l) => self.push(l),
+                Constraint::Range(rc) => self.push_range(rc),
+            }
+        }
+    }
+}
+
+impl FromIterator<Constraint> for ConstraintSet {
+    fn from_iter<I: IntoIterator<Item = Constraint>>(steps: I) -> Self {
+        let mut cs = ConstraintSet::new();
+        cs.extend(steps);
+        cs
+    }
 }
 
 #[cfg(test)]

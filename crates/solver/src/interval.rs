@@ -12,8 +12,8 @@
 //! target interval down the expression spine (inverting `+`, `-`, unary
 //! negation and multiplication by a constant). An empty intersection
 //! anywhere proves the set unsatisfiable without any search — this is what
-//! keeps the range/alignment/region constraint forms from blowing up the
-//! stochastic solver.
+//! keeps the region-bounds constraints from blowing up the stochastic
+//! solver.
 
 use crate::arena::{ExprArena, ExprRef, Node, VarInfo};
 use crate::constraint::ConstraintSet;
@@ -78,34 +78,6 @@ impl Interval {
         let hi = self.hi.min(other.hi);
         (lo <= hi).then_some(Interval { lo, hi })
     }
-
-    /// Narrows the interval to the values `v` with
-    /// `(v - phase) % align == 0`, i.e. shrinks `lo` up to the first
-    /// aligned point and `hi` down to the last. `None` when no aligned
-    /// point exists in the interval; the interval unchanged when
-    /// `align <= 1`.
-    pub fn align_to(&self, align: i64, phase: i64) -> Option<Interval> {
-        if align <= 1 {
-            return Some(*self);
-        }
-        let lo = align_up(self.lo, align, phase)?;
-        let hi = align_down(self.hi, align, phase)?;
-        (lo <= hi).then_some(Interval { lo, hi })
-    }
-}
-
-/// Smallest `v >= x` with `(v - phase) % align == 0` (`align > 1`).
-fn align_up(x: i64, align: i64, phase: i64) -> Option<i64> {
-    let rem = (x as i128 - phase as i128).rem_euclid(align as i128);
-    let v = x as i128 + if rem == 0 { 0 } else { align as i128 - rem };
-    (v <= i64::MAX as i128).then_some(v as i64)
-}
-
-/// Largest `v <= x` with `(v - phase) % align == 0` (`align > 1`).
-fn align_down(x: i64, align: i64, phase: i64) -> Option<i64> {
-    let rem = (x as i128 - phase as i128).rem_euclid(align as i128);
-    let v = x as i128 - rem;
-    (v >= i64::MIN as i128).then_some(v as i64)
 }
 
 /// Computes a conservative range for `root` under the arena's variable
@@ -256,10 +228,7 @@ fn cmp_range(always: bool, never: bool) -> Interval {
 ///
 /// Two passes are run so information can flow between constraints sharing
 /// variables (constraint A narrowing `x` tightens the forward interval B
-/// sees). Alignment requirements participate by shrinking the target
-/// interval to its aligned sub-range before the backward walk; the
-/// alignment itself is not pushed below the constraint root (bounds
-/// propagate soundly through any spine, phases do not).
+/// sees).
 pub fn propagate(arena: &ExprArena, cs: &ConstraintSet) -> Option<Vec<VarInfo>> {
     let mut dom: Vec<VarInfo> = arena.var_infos().to_vec();
     if cs.ranges.is_empty() {
@@ -269,7 +238,6 @@ pub fn propagate(arena: &ExprArena, cs: &ConstraintSet) -> Option<Vec<VarInfo>> 
         for rc in &cs.ranges {
             let fwd = range_in(arena, rc.expr, &dom);
             let want = fwd.intersect(&rc.interval())?;
-            let want = want.align_to(rc.align, rc.phase)?;
             narrow(arena, rc.expr, want, &mut dom)?;
         }
     }
@@ -464,32 +432,6 @@ mod tests {
         );
         assert_eq!(a.intersect(&Interval::point(10)), Some(Interval::point(10)));
     }
-
-    #[test]
-    fn align_to_shrinks_to_aligned_points() {
-        // Multiples of 4 in [3, 18]: 4..16.
-        assert_eq!(
-            Interval::new(3, 18).align_to(4, 0),
-            Some(Interval::new(4, 16))
-        );
-        // Phase shifts the lattice: v ≡ 2 (mod 4) in [3, 18]: 6..18.
-        assert_eq!(
-            Interval::new(3, 18).align_to(4, 2),
-            Some(Interval::new(6, 18))
-        );
-        // align <= 1 is a no-op.
-        assert_eq!(
-            Interval::new(3, 18).align_to(1, 0),
-            Some(Interval::new(3, 18))
-        );
-        // No aligned point in a narrow window.
-        assert_eq!(Interval::new(5, 7).align_to(8, 0), None);
-        // Negative bounds round correctly.
-        assert_eq!(
-            Interval::new(-7, -1).align_to(4, 0),
-            Some(Interval::point(-4))
-        );
-    }
 }
 
 #[cfg(test)]
@@ -531,27 +473,6 @@ mod propagate_tests {
         let mut cs = ConstraintSet::new();
         cs.push_range(RangeConstraint::range(x, 0, 10, 5));
         cs.push_range(RangeConstraint::range(x, 20, 30, 25));
-        assert_eq!(propagate(&a, &cs), None);
-    }
-
-    #[test]
-    fn alignment_intersection_narrows_bounds() {
-        let mut a = ExprArena::new();
-        let (_, x) = a.fresh_var(VarInfo::range(0, 100));
-        let mut cs = ConstraintSet::new();
-        // x ∈ [10, 30] and x ≡ 0 (mod 8): {16, 24}.
-        cs.push_range(RangeConstraint::aligned(x, 10, 30, 8, 0, 16));
-        let dom = propagate(&a, &cs).expect("satisfiable");
-        assert_eq!((dom[0].lo, dom[0].hi), (16, 24));
-    }
-
-    #[test]
-    fn alignment_with_no_admissible_point_refutes() {
-        let mut a = ExprArena::new();
-        let (_, x) = a.fresh_var(VarInfo::byte());
-        let mut cs = ConstraintSet::new();
-        // x ∈ [33, 38] with x ≡ 0 (mod 16): nothing.
-        cs.push_range(RangeConstraint::aligned(x, 33, 38, 16, 0, 33));
         assert_eq!(propagate(&a, &cs), None);
     }
 

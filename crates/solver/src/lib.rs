@@ -15,19 +15,16 @@
 //!
 //! | form | meaning | produced by |
 //! |------|---------|-------------|
-//! | [`Lit`] | `expr != 0` (or `== 0` when negated) | every symbolic branch |
-//! | [`RangeConstraint`] | `lo <= expr <= hi`, optional alignment | address concretization |
+//! | [`Lit`] | `expr != 0` (or `== 0` when negated) | every symbolic branch; an address pin |
+//! | [`RangeConstraint`] | `lo <= expr <= hi` | address concretization in a known region |
 //!
-//! `RangeConstraint` subsumes the four concretization shapes, from most
-//! to least constraining: the **equality pin**
-//! ([`RangeConstraint::pin`], the classic CUTE-style `expr == observed`),
-//! a plain **interval** ([`RangeConstraint::range`]), an **aligned
-//! interval** ([`RangeConstraint::aligned`], `(expr - phase) % align ==
-//! 0` — element pointers into arrays of stride > 1), and
-//! **in-bounds-of-region** sugar ([`RangeConstraint::in_region`]). Every
-//! range carries the *observed* witness value from the producing run, so
-//! [`solve_or_pin`] can fall back to the hard pin when the bounded form
-//! defeats the stochastic search.
+//! A concretized address takes one of two shapes: a
+//! **region range** ([`RangeConstraint::range`]), the bounds that keep
+//! the access inside its object, or — when no region is known — the
+//! classic CUTE-style **equality pin**, the literal `expr == observed`.
+//! A range carries the *observed* witness value from the producing run
+//! as a search hint. A path step holds exactly one [`Constraint`]: a
+//! literal or a range.
 //!
 //! # Branch literals
 //!
@@ -64,20 +61,23 @@
 //! let deep = arena.bin(Op::Gt, x, five);     // a later forced branch
 //!
 //! let mut cs = ConstraintSet::new();
-//! cs.push_range(RangeConstraint::in_region(off, 0, 10, 3)); // 0 <= x+2 <= 9
-//! cs.push(Lit { expr: deep, positive: true });               // x > 5
+//! cs.push_range(RangeConstraint::range(off, 0, 9, 3)); // 0 <= x+2 <= 9
+//! cs.push(Lit { expr: deep, positive: true });          // x > 5
 //! let model = solve(&arena, &cs, None, &SolveCfg::default()).unwrap();
 //! assert!(model[0] > 5 && model[0] + 2 <= 9);
 //!
-//! // The pinned variant of the same set is provably unsatisfiable.
-//! let pinned = cs.pinned(&mut arena);        // x + 2 == 3  &&  x > 5
+//! // Pinning the observed offset instead is provably unsatisfiable.
+//! let three = arena.constant(3);
+//! let pin = arena.bin(Op::Eq, off, three);   // x + 2 == 3
+//! let mut pinned = ConstraintSet::new();
+//! pinned.push(Lit { expr: pin, positive: true });
+//! pinned.push(Lit { expr: deep, positive: true });
 //! assert!(solve(&arena, &pinned, None, &SolveCfg::default()).is_none());
 //! ```
 //!
 //! Backward propagation ([`propagate`]) narrows
 //! variable domains under the range constraints before any search, and
-//! proves emptiness (UNSAT) outright when bounds or alignment cannot be
-//! met:
+//! proves emptiness (UNSAT) outright when the bounds cannot be met:
 //!
 //! ```
 //! use solver::{ExprArena, VarInfo, ConstraintSet, RangeConstraint, interval::propagate};
@@ -93,11 +93,10 @@
 //! let domains = propagate(&arena, &cs).expect("satisfiable");
 //! assert_eq!((domains[0].lo, domains[0].hi), (20, 40));
 //!
-//! // An alignment no value in the meet satisfies is refuted without search:
-//! // 10 <= x <= 12 with x ≡ 5 (mod 8) admits nothing.
+//! // Bounds the expression can never reach are refuted without search:
+//! // x + 100 <= 355, so 400 <= x + 100 admits nothing.
 //! let mut empty = ConstraintSet::new();
-//! let (_, y) = arena.fresh_var(VarInfo::byte());
-//! empty.push_range(RangeConstraint::aligned(y, 10, 12, 8, 5, 10));
+//! empty.push_range(RangeConstraint::range(sum, 400, 500, 400));
 //! assert!(propagate(&arena, &empty).is_none());
 //! ```
 
@@ -111,13 +110,13 @@ pub mod solve;
 
 pub use arena::{ArenaSnapshot, ExprArena, ExprRef, Node, VarId, VarInfo};
 pub use cache::{Fnv128, PrefixCache, FNV128_OFFSET, FNV128_PRIME};
-pub use constraint::{ConstraintSet, Lit, RangeConstraint};
+pub use constraint::{Constraint, ConstraintSet, Lit, RangeConstraint};
 pub use fasthash::{FastHasher, FastMap, FastSet, FastState};
 pub use interval::{div_ceil, div_floor, propagate, range, range_in, Interval};
 pub use op::{eval_op, eval_unop, Op, UnOp};
 pub use solve::{
-    mix_seed, solve, solve_or_pin, solve_or_pin_cached, solve_or_pin_ro, solve_or_pin_ro_cached,
-    solve_with_stats, solve_with_stats_cached, SolveCfg, SolveStats, XorShift, GOLDEN_RATIO,
+    mix_seed, solve, solve_with_stats, solve_with_stats_cached, SolveCfg, SolveStats, XorShift,
+    GOLDEN_RATIO,
 };
 
 /// The parallel replay workers share one read-only [`ExprArena`] and

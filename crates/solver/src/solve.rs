@@ -39,18 +39,16 @@
 //!    before: verdicts and models never depend on it, only `iters` and
 //!    `restarts` do.
 //!
-//! First-class [`RangeConstraint`]s ride the same pipeline: backward
-//! interval propagation ([`propagate`]) narrows the variable domains
-//! before the search (step 1.5 — an empty domain is a sound UNSAT proof),
-//! range items participate in the satisfaction count, and their repair
-//! move snaps the expression to the nearest admissible value. When the
-//! bounded form defeats the (incomplete) search, [`solve_or_pin`] retries
-//! with every range collapsed to its observed-value pin — the
-//! pre-generalization behavior.
+//! First-class [`RangeConstraint`](crate::RangeConstraint)s ride the
+//! same pipeline: backward interval propagation ([`propagate`]) narrows
+//! the variable domains before the search (step 1.5 — an empty domain
+//! is a sound UNSAT proof), range items participate in the satisfaction
+//! count, and their repair move snaps the expression to the nearest
+//! admissible value.
 
 use crate::arena::{Evaluator, ExprArena, ExprRef, Node, VarId, VarInfo};
 use crate::cache::PrefixCache;
-use crate::constraint::{ConstraintSet, RangeConstraint};
+use crate::constraint::{Constraint, ConstraintSet};
 use crate::fasthash::FastSet;
 use crate::interval::{propagate, range_in};
 use crate::op::Op;
@@ -104,8 +102,6 @@ pub struct SolveStats {
     /// propagated domain, or the stall proof) rather than merely not
     /// solved within budget.
     pub refuted: bool,
-    /// [`solve_or_pin`] had to fall back to the hard-pinned variant.
-    pub pin_fallback: bool,
     /// The prefix cache matched a non-empty satisfied prefix.
     pub prefix_hit: bool,
     /// Literals whose per-literal refutation work the prefix cache
@@ -162,33 +158,6 @@ pub fn solve(
     solve_with_stats(arena, cs, seed_assign, cfg).0
 }
 
-/// One search item: a path literal or a first-class range constraint.
-/// Items `0..cs.len()` are literals; the rest are ranges, in order.
-#[derive(Clone, Copy)]
-enum Item {
-    Lit(crate::constraint::Lit),
-    Range(RangeConstraint),
-}
-
-impl Item {
-    fn expr(&self) -> ExprRef {
-        match self {
-            Item::Lit(l) => l.expr,
-            Item::Range(r) => r.expr,
-        }
-    }
-
-    /// Whether the item fails for every value of the expression's
-    /// forward interval under `domains`.
-    fn excluded_in(&self, arena: &ExprArena, domains: &[VarInfo]) -> bool {
-        let r = range_in(arena, self.expr(), domains);
-        match self {
-            Item::Lit(l) => l.excluded_by(r),
-            Item::Range(rc) => rc.excluded_by(r),
-        }
-    }
-}
-
 /// Widest variable domain the stall proof enumerates: a byte's values.
 const PROOF_DOMAIN: i128 = 256;
 
@@ -202,7 +171,8 @@ thread_local! {
 
 struct Search<'a> {
     arena: &'a ExprArena,
-    items: Vec<Item>,
+    /// The literals, then the ranges, in order.
+    items: Vec<Constraint>,
     /// Narrowed per-variable domains (from interval propagation).
     domains: Vec<VarInfo>,
     ev: &'a mut Evaluator,
@@ -230,11 +200,11 @@ impl<'a> Search<'a> {
         cache: Option<&'a PrefixCache>,
         ev: &'a mut Evaluator,
     ) -> Self {
-        let items: Vec<Item> = cs
+        let items: Vec<Constraint> = cs
             .lits
             .iter()
-            .map(|l| Item::Lit(*l))
-            .chain(cs.ranges.iter().map(|r| Item::Range(*r)))
+            .map(|l| Constraint::Lit(*l))
+            .chain(cs.ranges.iter().map(|r| Constraint::Range(*r)))
             .collect();
         // Supports are pure functions of immutable node content: a
         // banked support (registered when the expression's run was
@@ -296,10 +266,10 @@ impl<'a> Search<'a> {
 
     fn lit_holds(&mut self, i: usize) -> bool {
         match self.items[i] {
-            Item::Lit(lit) => {
+            Constraint::Lit(lit) => {
                 (self.ev.eval(self.arena, lit.expr, &self.assign) != 0) == lit.positive
             }
-            Item::Range(rc) => rc.admits(self.ev.eval(self.arena, rc.expr, &self.assign)),
+            Constraint::Range(rc) => rc.admits(self.ev.eval(self.arena, rc.expr, &self.assign)),
         }
     }
 
@@ -398,7 +368,7 @@ impl<'a> Search<'a> {
             // nearest admissible value.
             self.ev.invalidate();
             let changed = match item {
-                Item::Lit(lit) => invert_lit(
+                Constraint::Lit(lit) => invert_lit(
                     arena,
                     lit.expr,
                     lit.positive,
@@ -407,7 +377,7 @@ impl<'a> Search<'a> {
                     &mut *self.ev,
                     &mut rng,
                 ),
-                Item::Range(rc) => {
+                Constraint::Range(rc) => {
                     let cur = self.ev.eval(arena, rc.expr, &self.assign);
                     // Mostly snap from the current value; sometimes aim at
                     // the observed witness to escape local minima.
@@ -416,16 +386,14 @@ impl<'a> Search<'a> {
                     } else {
                         rc.snap(cur)
                     };
-                    target.and_then(|t| {
-                        invert_value(
-                            arena,
-                            rc.expr,
-                            t,
-                            &mut self.assign,
-                            &self.domains,
-                            &mut *self.ev,
-                        )
-                    })
+                    invert_value(
+                        arena,
+                        rc.expr,
+                        target,
+                        &mut self.assign,
+                        &self.domains,
+                        &mut *self.ev,
+                    )
                 }
             };
             if let Some(var) = changed {
@@ -512,14 +480,14 @@ impl<'a> Search<'a> {
             .seed_violated
             .iter()
             .filter_map(|&i| match self.items[i] {
-                Item::Lit(l) => Some((l.expr, !l.positive)),
-                Item::Range(_) => None,
+                Constraint::Lit(l) => Some((l.expr, !l.positive)),
+                Constraint::Range(_) => None,
             })
             .collect();
         if self
             .items
             .iter()
-            .any(|it| matches!(it, Item::Lit(l) if opposites.contains(&(l.expr, l.positive))))
+            .any(|it| matches!(it, Constraint::Lit(l) if opposites.contains(&(l.expr, l.positive))))
         {
             return true;
         }
@@ -567,9 +535,11 @@ impl<'a> Search<'a> {
         }
         // 3. A violated multi-variable item whose forward interval over
         //    the hulls excludes its required truth value.
-        self.seed_violated
-            .iter()
-            .any(|&i| self.supports[i].len() > 1 && self.items[i].excluded_in(self.arena, &hulls))
+        self.seed_violated.iter().any(|&i| {
+            let item = self.items[i];
+            self.supports[i].len() > 1
+                && item.excluded_by(range_in(self.arena, item.expr(), &hulls))
+        })
     }
 }
 
@@ -658,120 +628,6 @@ pub fn solve_with_stats_cached(
     let model = EVALUATOR.with_borrow_mut(|ev| {
         Search::new(arena, cs, domains, init, cache, ev).run(cfg, &mut stats)
     });
-    (model, stats)
-}
-
-/// [`solve`], with the pin fallback: when a set carrying range
-/// constraints is not solved within budget (and was not *refuted* — a
-/// refuted bounded form implies the stricter pinned form is unsatisfiable
-/// too), retry with every range collapsed to its observed-value equality
-/// pin. This restores the pre-generalization behavior exactly when
-/// generality does not pay.
-///
-/// The iteration budget is *split* between the two attempts (bounded
-/// first, pinned with whatever remains), so an unsatisfiable set costs no
-/// more search than it did before ranges existed — the generalization
-/// must not tax the UNSAT-heavy replay workloads twice.
-pub fn solve_or_pin(
-    arena: &mut ExprArena,
-    cs: &ConstraintSet,
-    seed_assign: Option<&[i64]>,
-    cfg: &SolveCfg,
-) -> (Option<Vec<i64>>, SolveStats) {
-    solve_or_pin_cached(arena, cs, seed_assign, cfg, None)
-}
-
-/// [`solve_or_pin`] with a [`PrefixCache`]. The prefix-hit stats come
-/// from the bounded attempt only: one outer call counts as one cache
-/// hit or miss, and the pinned retry's prepended `Eq` pins shift every
-/// literal position, so its prefix never matches a banked path anyway.
-pub fn solve_or_pin_cached(
-    arena: &mut ExprArena,
-    cs: &ConstraintSet,
-    seed_assign: Option<&[i64]>,
-    cfg: &SolveCfg,
-    cache: Option<&PrefixCache>,
-) -> (Option<Vec<i64>>, SolveStats) {
-    if !cs.has_ranges() {
-        return solve_with_stats_cached(arena, cs, seed_assign, cfg, cache);
-    }
-    let bounded_cfg = SolveCfg {
-        max_iters: (cfg.max_iters / 2).max(1),
-        ..cfg.clone()
-    };
-    let (model, mut stats) = solve_with_stats_cached(arena, cs, seed_assign, &bounded_cfg, cache);
-    if model.is_some() || stats.refuted {
-        return (model, stats);
-    }
-    let pinned = cs.pinned(arena);
-    let pin_cfg = SolveCfg {
-        max_iters: cfg.max_iters.saturating_sub(stats.iters).max(1),
-        ..cfg.clone()
-    };
-    let (model, pin_stats) = solve_with_stats_cached(arena, &pinned, seed_assign, &pin_cfg, cache);
-    stats.iters += pin_stats.iters;
-    stats.inversions += pin_stats.inversions;
-    stats.restarts += pin_stats.restarts;
-    stats.pin_fallback = true;
-    (model, stats)
-}
-
-/// [`solve_or_pin`] against a *shared, read-only* arena — the form the
-/// parallel solve phase needs, where several worker threads solve
-/// speculatively popped sets against one central arena at once.
-///
-/// The rare pin fallback builds its `Eq` pins in a private clone of the
-/// arena instead of interning them centrally, so the central arena's
-/// node numbering never depends on how many sets were solved
-/// speculatively (or on which solves stalled) — that independence is
-/// what keeps worker-count-invariant sessions bit-identical. Verdicts
-/// and models are the same as [`solve_or_pin`]'s: the pinned variant is
-/// built from the same arena state, and solving is insensitive to
-/// whether the pin nodes persist afterwards.
-pub fn solve_or_pin_ro(
-    arena: &ExprArena,
-    cs: &ConstraintSet,
-    seed_assign: Option<&[i64]>,
-    cfg: &SolveCfg,
-) -> (Option<Vec<i64>>, SolveStats) {
-    solve_or_pin_ro_cached(arena, cs, seed_assign, cfg, None)
-}
-
-/// [`solve_or_pin_ro`] with a [`PrefixCache`] — the form the engines'
-/// solve phases use, serial and parallel alike. Workers share the cache
-/// by reference against the frozen central arena; the scratch clone the
-/// pin fallback builds shares the frozen prefix by refcount, so banked
-/// entries (keyed on prefix handles) stay valid inside it.
-pub fn solve_or_pin_ro_cached(
-    arena: &ExprArena,
-    cs: &ConstraintSet,
-    seed_assign: Option<&[i64]>,
-    cfg: &SolveCfg,
-    cache: Option<&PrefixCache>,
-) -> (Option<Vec<i64>>, SolveStats) {
-    if !cs.has_ranges() {
-        return solve_with_stats_cached(arena, cs, seed_assign, cfg, cache);
-    }
-    let bounded_cfg = SolveCfg {
-        max_iters: (cfg.max_iters / 2).max(1),
-        ..cfg.clone()
-    };
-    let (model, mut stats) = solve_with_stats_cached(arena, cs, seed_assign, &bounded_cfg, cache);
-    if model.is_some() || stats.refuted {
-        return (model, stats);
-    }
-    let mut scratch = arena.clone();
-    let pinned = cs.pinned(&mut scratch);
-    let pin_cfg = SolveCfg {
-        max_iters: cfg.max_iters.saturating_sub(stats.iters).max(1),
-        ..cfg.clone()
-    };
-    let (model, pin_stats) =
-        solve_with_stats_cached(&scratch, &pinned, seed_assign, &pin_cfg, cache);
-    stats.iters += pin_stats.iters;
-    stats.inversions += pin_stats.inversions;
-    stats.restarts += pin_stats.restarts;
-    stats.pin_fallback = true;
     (model, stats)
 }
 
@@ -995,7 +851,7 @@ fn candidate_values(
 mod tests {
     use super::*;
     use crate::arena::VarInfo;
-    use crate::constraint::Lit;
+    use crate::constraint::{Lit, RangeConstraint};
 
     fn bytes(n: usize) -> (ExprArena, Vec<ExprRef>) {
         let mut a = ExprArena::new();
@@ -1433,7 +1289,7 @@ mod tests {
         let five = a.constant(5);
         let deep = a.bin(Op::Gt, v[0], five);
         let mut cs = ConstraintSet::new();
-        cs.push_range(RangeConstraint::in_region(off, 0, 10, 3)); // observed x = 1
+        cs.push_range(RangeConstraint::range(off, 0, 9, 3)); // observed x = 1
         cs.push(Lit {
             expr: deep,
             positive: true,
@@ -1442,25 +1298,6 @@ mod tests {
         let sol = solve(&a, &cs, Some(&[1]), &SolveCfg::default()).expect("solvable");
         assert!(cs.satisfied(&a, &sol));
         assert!(sol[0] > 5 && sol[0] + 2 <= 9);
-    }
-
-    #[test]
-    fn aligned_range_constraint_is_respected() {
-        let mut a = ExprArena::new();
-        let (_, p) = a.fresh_var(VarInfo::range(0, 1 << 20));
-        let mut cs = ConstraintSet::new();
-        // Element pointer: base 4096, 16 elements of stride 4.
-        cs.push_range(RangeConstraint::aligned(
-            p,
-            4096,
-            4096 + 15 * 4,
-            4,
-            4096,
-            4104,
-        ));
-        let sol = solve(&a, &cs, None, &SolveCfg::default()).expect("solvable");
-        assert!((4096..=4156).contains(&sol[0]));
-        assert_eq!((sol[0] - 4096) % 4, 0, "alignment respected: {}", sol[0]);
     }
 
     #[test]
@@ -1493,105 +1330,5 @@ mod tests {
         assert!(m.is_none());
         assert!(stats.refuted, "propagation catches lit-vs-range conflicts");
         assert_eq!(stats.iters, 0);
-    }
-
-    #[test]
-    fn solve_or_pin_falls_back_when_bounded_form_stalls() {
-        // A two-sided symbolic product (169 = 13 × 13, both factors
-        // symbolic) that neither inversion nor a short stochastic search
-        // can crack from a cold seed — but whose pinned variant is solved
-        // by two trivial pin inversions.
-        let (mut a, v) = bytes(2);
-        let prod = a.bin(Op::Mul, v[0], v[1]);
-        let c169 = a.constant(169);
-        let hit = a.bin(Op::Eq, prod, c169);
-        let mut cs = ConstraintSet::new();
-        cs.push_range(RangeConstraint::range(v[0], 0, 255, 13));
-        cs.push_range(RangeConstraint::range(v[1], 0, 255, 13));
-        cs.push(Lit {
-            expr: hit,
-            positive: true,
-        });
-        let cfg = SolveCfg {
-            max_iters: 64, // plenty for the pins, hopeless for x*y == 169
-            ..SolveCfg::default()
-        };
-        let (m, stats) = solve_or_pin(&mut a, &cs, Some(&[0, 0]), &cfg);
-        let m = m.expect("pin fallback must solve via the witness values");
-        assert!(stats.pin_fallback, "fallback path must be taken");
-        assert_eq!(m[0] * m[1], 169);
-    }
-
-    #[test]
-    fn solve_or_pin_skips_fallback_when_refuted() {
-        let (mut a, v) = bytes(1);
-        let mut cs = ConstraintSet::new();
-        cs.push_range(RangeConstraint::range(v[0], 300, 400, 300));
-        let (m, stats) = solve_or_pin(&mut a, &cs, None, &SolveCfg::default());
-        assert!(m.is_none());
-        assert!(stats.refuted);
-        assert!(
-            !stats.pin_fallback,
-            "a refuted bounded form refutes the pin too"
-        );
-    }
-
-    #[test]
-    fn solve_or_pin_ro_matches_mutating_variant() {
-        // The fallback shape from `solve_or_pin_falls_back_when_bounded_
-        // form_stalls`, solved both ways: verdict, model, and stats must
-        // agree, and the read-only variant must leave the arena's node
-        // count untouched (no interned pins).
-        let (mut a, v) = bytes(2);
-        let prod = a.bin(Op::Mul, v[0], v[1]);
-        let c169 = a.constant(169);
-        let hit = a.bin(Op::Eq, prod, c169);
-        let mut cs = ConstraintSet::new();
-        cs.push_range(RangeConstraint::range(v[0], 0, 255, 13));
-        cs.push_range(RangeConstraint::range(v[1], 0, 255, 13));
-        cs.push(Lit {
-            expr: hit,
-            positive: true,
-        });
-        let cfg = SolveCfg {
-            max_iters: 64,
-            ..SolveCfg::default()
-        };
-        let nodes_before = a.len();
-        let (ro_model, ro_stats) = solve_or_pin_ro(&a, &cs, Some(&[0, 0]), &cfg);
-        assert_eq!(a.len(), nodes_before, "read-only variant interns nothing");
-        let (mut_model, mut_stats) = solve_or_pin(&mut a, &cs, Some(&[0, 0]), &cfg);
-        assert_eq!(ro_model, mut_model);
-        assert!(ro_stats.pin_fallback && mut_stats.pin_fallback);
-        assert_eq!(ro_stats.iters, mut_stats.iters);
-        assert_eq!(ro_stats.inversions, mut_stats.inversions);
-    }
-
-    #[test]
-    fn solve_or_pin_ro_without_ranges_is_plain_solve() {
-        let (mut a, v) = bytes(1);
-        let c = a.constant(65);
-        let mut cs = ConstraintSet::new();
-        cs.push(Lit {
-            expr: a.bin(Op::Eq, v[0], c),
-            positive: true,
-        });
-        let (m, stats) = solve_or_pin_ro(&a, &cs, None, &SolveCfg::default());
-        assert_eq!(m.expect("solvable")[0], 65);
-        assert!(!stats.pin_fallback);
-    }
-
-    #[test]
-    fn pinned_variant_matches_classic_behavior() {
-        let (mut a, v) = bytes(1);
-        let two = a.constant(2);
-        let off = a.bin(Op::Add, v[0], two);
-        let mut cs = ConstraintSet::new();
-        cs.push_range(RangeConstraint::in_region(off, 0, 10, 3));
-        let pinned = cs.pinned(&mut a);
-        assert!(pinned.ranges.is_empty());
-        assert_eq!(pinned.lits.len(), 1);
-        let sol = solve(&a, &pinned, None, &SolveCfg::default()).expect("solvable");
-        assert_eq!(sol[0] + 2, 3, "pin forces the observed offset");
     }
 }
