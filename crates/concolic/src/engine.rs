@@ -23,7 +23,7 @@ use minic::CompiledProgram;
 use oskit::{Kernel, KernelConfig};
 use search::driver::{self, End, GuidedEngine};
 use search::{seeded_assignment, Frontier, PrefixSigs, SearchCounters, SearchLimits};
-use solver::{Constraint, ConstraintSet, ExprArena, FastMap, PrefixCache, SolveCfg, VarId};
+use solver::{Constraint, ExprArena, FastMap, PrefixCache, SolveCfg, VarId};
 
 /// Exploration budget. `max_runs` is the primary (deterministic) knob —
 /// the LC/HC axis of the paper; the others are safety caps. The shared
@@ -341,22 +341,19 @@ impl GuidedEngine for Analysis<'_, '_> {
     ) {
         let pin: FastMap<VarId, i64> = record.nondet.iter().copied().collect();
         let exprs: Vec<_> = record.path.iter().map(|s| s.constraint.expr()).collect();
-        let substituted: Vec<Constraint> = record
-            .path
-            .iter()
-            .zip(arena.substitute_many(&exprs, &pin))
-            .map(|(step, expr)| step.constraint.with_expr(expr))
-            .collect();
+        let substituted = arena.substitute_many(&exprs, &pin);
+        let step = |i: usize| record.path[i].constraint.with_expr(substituted[i]);
+        // Candidates are hashed from the path before any is built: only
+        // the few the frontier accepts pay for their O(depth) prefix copy,
+        // from the path split once.
+        let sigs = PrefixSigs::new((0..substituted.len()).map(step));
         // This run executed, so every constraint of its (substituted) path
         // condition held: register the satisfied prefixes so candidates
         // that share one can skip straight to the divergent suffix.
         if let Some(cache) = cache {
-            let path: ConstraintSet = substituted.iter().copied().collect();
-            cache.register_path(arena, &path.lits, &path.ranges);
+            let (lits, ranges) = sigs.prefix(substituted.len());
+            cache.register_path(arena, lits, ranges);
         }
-        // Candidates are hashed from the path before any is built: only
-        // the few the frontier accepts pay for their O(depth) prefix copy.
-        let sigs = PrefixSigs::new(substituted.iter().copied());
         let seed_controllables = &assignment[..self.vars.n_controllable as usize];
         frontier.begin_run();
         let order = frontier.policy().strategy.offer_order(substituted.len());
@@ -364,8 +361,7 @@ impl GuidedEngine for Analysis<'_, '_> {
             if frontier.run_full() {
                 break;
             }
-            let (StepOrigin::Branch(bid), Constraint::Lit(lit)) =
-                (record.path[i].origin, substituted[i])
+            let (StepOrigin::Branch(bid), Constraint::Lit(lit)) = (record.path[i].origin, step(i))
             else {
                 continue;
             };
@@ -379,9 +375,7 @@ impl GuidedEngine for Analysis<'_, '_> {
             let neg = lit.negated();
             let (sig, lits) = sigs.candidate(i, neg);
             frontier.offer(sig, lits, Some(bid.0), || {
-                let mut cs: ConstraintSet = substituted[..i].iter().copied().collect();
-                cs.push(neg);
-                (cs, seed_controllables.to_vec())
+                (sigs.build(i, &[neg]), seed_controllables.to_vec())
             });
         }
         frontier.end_run();

@@ -30,8 +30,6 @@ pub mod syscall_log;
 pub use builder::PlanBuilder;
 pub use escalate::{escalate, EscalationHints, LiteralClusterHint, LocationHint};
 pub use host::{BranchLogger, BugReport, LoggingHost};
-pub use logger::{
-    BitLog, BranchTrace, CursorLog, CursorTable, CursorTrace, LocStream, TraceCursor, TraceLog,
-};
+pub use logger::{BitLog, BranchTrace, CursorLog, CursorTrace, LocStream, TraceCursor, TraceLog};
 pub use plan::{DynLabel, LogFormat, Method, Plan, Suppressed};
 pub use syscall_log::{is_logged, SysCursor, SysRecord, SyscallLog};

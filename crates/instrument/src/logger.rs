@@ -18,13 +18,11 @@
 //!   the whole log — a misaligned candidate now diverges *locally*, at
 //!   the first wrong bit of the affected location's own stream.
 //!
-//! [`TraceLog`] is the shipped artifact covering both formats, consumed
-//! through a [`CursorTable`] (one flat position, or one cursor per
-//! location).
+//! [`TraceLog`] is the shipped artifact covering both formats; replay
+//! reads it through its own indexed reader.
 
 use minic::cost::{BRANCH_LOG_COST, CURSOR_STEP_COST, LOG_BUFFER_BYTES, LOG_FLUSH_COST};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// An append-only bit log with buffered flushing (4 KiB by default).
 #[derive(Debug, Clone)]
@@ -643,34 +641,6 @@ impl TraceLog {
         }
     }
 
-    /// Consumes the next recorded direction for branch location `loc`.
-    /// `None` means the relevant stream is exhausted (recording stopped
-    /// at the crash) — the caller explores freely from there, exactly as
-    /// the flat format does at end-of-log.
-    pub fn next_bit(&self, cur: &mut CursorTable, loc: u32) -> Option<bool> {
-        match self {
-            TraceLog::Flat(t) => {
-                let b = t.get(cur.flat)?;
-                cur.flat += 1;
-                cur.consumed += 1;
-                Some(b)
-            }
-            TraceLog::Cursors(c) => {
-                let s = c.stream(loc)?;
-                let pos = cur.per_loc.entry(loc).or_insert(0);
-                let b = s.get(*pos)?;
-                *pos += 1;
-                cur.consumed += 1;
-                Some(b)
-            }
-        }
-    }
-
-    /// True once every recorded bit has been consumed through `cur`.
-    pub fn exhausted(&self, cur: &CursorTable) -> bool {
-        cur.consumed >= self.len()
-    }
-
     /// Truncates to the first `n` bits — failure-injection tests.
     ///
     /// Flat logs lose their *time-ordered* tail, faithfully modeling an
@@ -725,43 +695,6 @@ impl TraceLog {
                 TraceLog::Cursors(out)
             }
         }
-    }
-}
-
-/// Consumption positions over a [`TraceLog`]: one flat position, or one
-/// cursor per branch location. Owned by the replay host so misalignment
-/// diagnostics can name the exact (location, cursor) pair that diverged.
-#[derive(Debug, Clone, Default)]
-pub struct CursorTable {
-    flat: u64,
-    per_loc: BTreeMap<u32, u64>,
-    consumed: u64,
-}
-
-impl CursorTable {
-    /// A table with every cursor at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Total bits consumed (across all streams).
-    pub fn consumed(&self) -> u64 {
-        self.consumed
-    }
-
-    /// The cursor position of one location (0 if never consumed). For a
-    /// flat log this is the global position regardless of `loc`.
-    pub fn position(&self, loc: u32) -> u64 {
-        if self.per_loc.is_empty() && self.flat > 0 {
-            return self.flat;
-        }
-        self.per_loc.get(&loc).copied().unwrap_or(0)
-    }
-
-    /// Every per-location cursor position, sorted by location (empty for
-    /// a flat log — use [`consumed`](CursorTable::consumed) there).
-    pub fn positions(&self) -> Vec<(u32, u64)> {
-        self.per_loc.iter().map(|(l, p)| (*l, *p)).collect()
     }
 }
 
@@ -965,27 +898,6 @@ mod tests {
     }
 
     #[test]
-    fn trace_log_consumes_per_location_and_reports_exhaustion() {
-        let t = TraceLog::Cursors(CursorTrace::from_streams(&[
-            (1, &[true, true][..]),
-            (5, &[false][..]),
-        ]));
-        let mut cur = CursorTable::new();
-        assert!(!t.exhausted(&cur));
-        assert_eq!(t.next_bit(&mut cur, 5), Some(false));
-        assert_eq!(t.next_bit(&mut cur, 5), None, "stream 5 exhausted");
-        assert_eq!(t.next_bit(&mut cur, 2), None, "no stream for loc 2");
-        assert_eq!(t.next_bit(&mut cur, 1), Some(true));
-        assert!(!t.exhausted(&cur));
-        assert_eq!(t.next_bit(&mut cur, 1), Some(true));
-        assert!(t.exhausted(&cur));
-        assert_eq!(cur.consumed(), 3);
-        assert_eq!(cur.position(1), 2);
-        assert_eq!(cur.position(5), 1);
-        assert_eq!(cur.positions(), vec![(1, 2), (5, 1)]);
-    }
-
-    #[test]
     fn trace_log_truncation_and_corruption_cover_cursors() {
         let t = TraceLog::Cursors(CursorTrace::from_streams(&[
             (1, &[true, true][..]),
@@ -1008,8 +920,8 @@ mod tests {
         // Pushing one interleaved (location, direction) sequence through
         // both log formats must agree: the flat log replays the global
         // order, and each cursor stream replays exactly that location's
-        // subsequence — consumed per location, the cursor format yields
-        // the same directions the flat format yields globally.
+        // subsequence — read per location, the cursor format yields the
+        // same directions the flat format yields globally.
         #[test]
         fn cursor_and_flat_formats_record_identically(
             seq in proptest::collection::vec((0u32..6, any::<bool>()), 0..600),
@@ -1029,16 +941,21 @@ mod tests {
                 CursorTrace::decode(&wire).as_ref(),
                 cursor.as_cursors()
             );
-            // Consuming in the recorded execution order yields identical
+            // Reading in the recorded execution order yields identical
             // directions from both formats.
-            let mut fc = CursorTable::new();
-            let mut cc = CursorTable::new();
-            for (loc, taken) in &seq {
-                prop_assert_eq!(flat.next_bit(&mut fc, *loc), Some(*taken));
-                prop_assert_eq!(cursor.next_bit(&mut cc, *loc), Some(*taken));
+            let flat_bits = flat.as_flat().unwrap();
+            let streams = cursor.as_cursors().unwrap();
+            let mut per_loc = [0u64; 6];
+            for (i, (loc, taken)) in seq.iter().enumerate() {
+                prop_assert_eq!(flat_bits.get(i as u64), Some(*taken));
+                let k = &mut per_loc[*loc as usize];
+                prop_assert_eq!(streams.stream(*loc).unwrap().get(*k), Some(*taken));
+                *k += 1;
             }
-            prop_assert!(flat.exhausted(&fc));
-            prop_assert!(cursor.exhausted(&cc));
+            for (loc, n) in per_loc.iter().enumerate() {
+                let len = streams.stream(loc as u32).map_or(0, |s| s.len());
+                prop_assert_eq!(len, *n);
+            }
         }
     }
 }

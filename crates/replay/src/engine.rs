@@ -20,6 +20,7 @@ use crate::host::{
     ReplayHost, BRANCH_DIVERGENCE, CHECKPOINT_DIVERGENCE, CURSOR_OVERRUN, REACHED_CRASH_SITE,
     SYSCALL_DIVERGENCE,
 };
+use crate::reader::LogIndex;
 use concolic::{Concretization, InputSpec, InputVars, PathStep, StepOrigin};
 use instrument::{BugReport, Plan};
 use minic::memory::pack;
@@ -192,7 +193,16 @@ pub struct ReplayEngine<'p> {
 impl<'p> ReplayEngine<'p> {
     /// Creates an engine from the developer-retained plan and the
     /// shipped bug report.
-    pub fn new(cp: &'p CompiledProgram, plan: Plan, report: BugReport, cfg: ReplayConfig) -> Self {
+    pub fn new(
+        cp: &'p CompiledProgram,
+        plan: Plan,
+        mut report: BugReport,
+        cfg: ReplayConfig,
+    ) -> Self {
+        // The trust boundary: a report deserialized from external JSON
+        // may break the one-stream-per-location invariant the log index
+        // relies on.
+        report.trace.normalize();
         ReplayEngine {
             cp,
             plan,
@@ -217,7 +227,12 @@ impl<'p> ReplayEngine<'p> {
     /// rejects rungs explored on earlier bursts, so successive bursts
     /// naturally walk deeper, and a duplicate flip never wastes the
     /// attempt. Returns whether any repair was accepted.
-    fn offer_repair_ladder(frontier: &mut Frontier, info: &ForcedInfo, attempt: usize) -> bool {
+    fn offer_repair_ladder(
+        frontier: &mut Frontier,
+        info: &ForcedInfo,
+        attempt: usize,
+        trace: bool,
+    ) -> bool {
         for s in info.ladder().skip(attempt) {
             let Some((_, lit)) = info.steps[s].as_branch() else {
                 continue;
@@ -226,7 +241,7 @@ impl<'p> ReplayEngine<'p> {
                 info.steps[..s].iter().map(|st| st.constraint).collect();
             repair.push(lit.negated());
             if frontier.offer_repair(search::signature(&repair), repair, info.seed.clone()) {
-                if std::env::var("RETRACE_REPLAY_TRACE").is_ok() {
+                if trace {
                     eprintln!("  repair offered: suspect at step {s} (attempt {attempt})");
                 }
                 return true;
@@ -251,6 +266,8 @@ impl<'p> ReplayEngine<'p> {
         };
         let mut session = Session {
             engine: self,
+            index: LogIndex::new(&self.report.trace, self.cp.n_branches()),
+            trace: std::env::var("RETRACE_REPLAY_TRACE").is_ok(),
             vars,
             syscall_mode,
             book: RepairBook::new(),
@@ -291,7 +308,29 @@ impl<'p> ReplayEngine<'p> {
             last_run_stats: last.stats,
         }
     }
+}
 
+/// The commit side of one reproduction attempt: the repair book and the
+/// per-run tallies the driver's runs add up to.
+struct Session<'e, 'p> {
+    engine: &'e ReplayEngine<'p>,
+    /// The report's branch log, indexed once for every run.
+    index: LogIndex<'e>,
+    /// Whether `RETRACE_REPLAY_TRACE` is set.
+    trace: bool,
+    vars: InputVars,
+    syscall_mode: SyscallMode,
+    book: RepairBook,
+    total_instrs: u64,
+    total_units: u64,
+    syscall_divergences: u64,
+    cursor_overruns: u64,
+    checkpoint_divergences: u64,
+    concretization_ranges: u64,
+    concretization_pins: u64,
+}
+
+impl Session<'_, '_> {
     /// The multi-byte literal-forcing escalation rule. A 2(b) abort at a
     /// location the plan carries forced literals for (a `strcmp`-style
     /// scan cluster diagnosed by an earlier generation's replay) means
@@ -305,15 +344,15 @@ impl<'p> ReplayEngine<'p> {
     fn offer_literal_pins(
         &self,
         run: &RunArtifacts,
+        sigs: &PrefixSigs,
         assignment: &[i64],
         arena: &mut ExprArena,
-        vars: &InputVars,
         frontier: &mut Frontier,
     ) {
         let Some((loc, _)) = run.stats.divergent_branch else {
             return;
         };
-        let literals = self.plan.forced_literals_at(loc).to_vec();
+        let literals = self.engine.plan.forced_literals_at(loc).to_vec();
         if literals.is_empty() {
             return;
         }
@@ -334,7 +373,7 @@ impl<'p> ReplayEngine<'p> {
             },
             _ => return,
         };
-        let n_controllable = vars.n_controllable as usize;
+        let n_controllable = self.vars.n_controllable as usize;
         if (v.0 as usize) >= n_controllable {
             return;
         }
@@ -350,8 +389,7 @@ impl<'p> ReplayEngine<'p> {
                 if start + lit.len() > n_controllable {
                     continue;
                 }
-                let steps = &run.path[..run.path.len() - 1];
-                let mut cs: ConstraintSet = steps.iter().map(|st| st.constraint).collect();
+                let mut cs = sigs.build(run.path.len() - 1, &[]);
                 for (t, byte) in lit.iter().enumerate() {
                     let var = arena.var_expr(VarId((start + t) as u32));
                     let konst = arena.constant(i64::from(*byte));
@@ -368,26 +406,10 @@ impl<'p> ReplayEngine<'p> {
                 }
             }
         }
-        if offered > 0 && std::env::var("RETRACE_REPLAY_TRACE").is_ok() {
+        if offered > 0 && self.trace {
             eprintln!("  literal pins offered: {offered} at loc {loc}");
         }
     }
-}
-
-/// The commit side of one reproduction attempt: the repair book and the
-/// per-run tallies the driver's runs add up to.
-struct Session<'e, 'p> {
-    engine: &'e ReplayEngine<'p>,
-    vars: InputVars,
-    syscall_mode: SyscallMode,
-    book: RepairBook,
-    total_instrs: u64,
-    total_units: u64,
-    syscall_divergences: u64,
-    cursor_overruns: u64,
-    checkpoint_divergences: u64,
-    concretization_ranges: u64,
-    concretization_pins: u64,
 }
 
 impl GuidedEngine for Session<'_, '_> {
@@ -398,14 +420,13 @@ impl GuidedEngine for Session<'_, '_> {
         let vars = &self.vars;
         let n_controllable = vars.n_controllable as usize;
         let streams = realize_streams(&engine.cfg.spec, vars, assignment);
-        let traced_conns: Option<Vec<String>> =
-            std::env::var("RETRACE_REPLAY_TRACE").ok().map(|_| {
-                streams
-                    .conns
-                    .iter()
-                    .map(|c| String::from_utf8_lossy(c).escape_default().to_string())
-                    .collect()
-            });
+        let traced_conns: Option<Vec<String>> = self.trace.then(|| {
+            streams
+                .conns
+                .iter()
+                .map(|c| String::from_utf8_lossy(c).escape_default().to_string())
+                .collect()
+        });
         let nondet_assign: Vec<i64> = assignment
             .get(n_controllable..)
             .map(|s| s.to_vec())
@@ -420,14 +441,14 @@ impl GuidedEngine for Session<'_, '_> {
         let mut host = ReplayHost::new(
             arena,
             env,
-            engine.plan.clone(),
-            engine.report.trace.clone(),
-            vars.clone(),
+            &engine.plan,
+            self.index.reader(),
+            vars,
             engine.report.crash.loc,
         );
         host.concretization = engine.cfg.budget.concretization;
         if engine.plan.checkpoints {
-            host.checkpoints = engine.report.checkpoints.clone();
+            host.checkpoints = &engine.report.checkpoints;
         }
         let mut vm = Vm::new(engine.cp, host);
         vm.fuel = engine.cfg.budget.fuel_per_run;
@@ -435,7 +456,7 @@ impl GuidedEngine for Session<'_, '_> {
         vm.prepare(&argv);
         // Mark symbolic argv bytes.
         let objs: Vec<_> = vm.argv_objects().to_vec();
-        for (ai, arg_vars) in vm.host.vars.argv.clone().iter().enumerate() {
+        for (ai, arg_vars) in vars.argv.iter().enumerate() {
             for (bi, vid) in arg_vars.iter().enumerate() {
                 let e = vm.host.arena.var_expr(*vid);
                 vm.mem
@@ -446,8 +467,9 @@ impl GuidedEngine for Session<'_, '_> {
         let outcome = vm.resume();
         let instrs = vm.meter.instrs;
         let units = vm.meter.units;
-        let host = vm.host;
+        let mut host = vm.host;
         let log_exhausted = host.log_exhausted();
+        host.stats.consulted = host.log.consulted();
         let trace = traced_conns.map(|conns| {
             format!(
                 "outcome={outcome:?} bits={} recon={} sym_logged={} sym_unlogged={} path={} div={:?} cursors={:?} conns={conns:?}",
@@ -457,7 +479,7 @@ impl GuidedEngine for Session<'_, '_> {
                 host.stats.sym_unlogged_execs,
                 host.path.len(),
                 host.stats.divergent_branch,
-                host.cursors.positions(),
+                host.log.positions(),
             )
         });
         (
@@ -533,8 +555,11 @@ impl GuidedEngine for Session<'_, '_> {
         // the same recovery flips and the same escalation evidence.
         let overrun = cursor_overrun || checkpoint_div;
         let path = &run.path;
-        let prefix =
-            |n: usize| -> ConstraintSet { path[..n].iter().map(|s| s.constraint).collect() };
+        // Every set below is a path prefix, most of them plus one
+        // negated literal: hash them all from one pass over the path, so
+        // the frontier can reject a candidate before it is built, and
+        // build the accepted ones from the path split once.
+        let sigs = PrefixSigs::new(path.iter().map(|s| s.constraint));
         // Every executed step's constraint held under this run's input,
         // so its prefixes are witnessed-satisfiable: register them so
         // later candidates sharing one skip straight to the divergent
@@ -542,14 +567,10 @@ impl GuidedEngine for Session<'_, '_> {
         // way, not the executed way — it is unwitnessed, so it never
         // registers.
         if let Some(cache) = cache {
-            let executed = prefix(path.len().saturating_sub(usize::from(forced)));
-            cache.register_path(arena, &executed.lits, &executed.ranges);
+            let (lits, ranges) = sigs.prefix(path.len().saturating_sub(usize::from(forced)));
+            cache.register_path(arena, lits, ranges);
         }
         frontier.begin_run();
-        // Every candidate below is a path prefix plus one negated
-        // literal: hash them all from one pass over the path, so the
-        // frontier can reject a candidate before it is built.
-        let sigs = PrefixSigs::new(path.iter().map(|s| s.constraint));
 
         // Syscall-divergence recovery: the run followed the branch log
         // but issued the wrong syscall, so the most recent unlogged
@@ -576,8 +597,7 @@ impl GuidedEngine for Session<'_, '_> {
             };
             let offer_flip = |frontier: &mut Frontier, d: usize, lit: Lit| {
                 let neg = lit.negated();
-                let mut cs = prefix(d);
-                cs.push(neg);
+                let cs = sigs.build(d, &[neg]);
                 frontier.offer_priority(sigs.candidate(d, neg).0, cs, assignment.to_vec(), true);
             };
             let recent = (0..path.len())
@@ -654,9 +674,7 @@ impl GuidedEngine for Session<'_, '_> {
             let neg = lit.negated();
             let (sig, n_lits) = sigs.candidate(i, neg);
             frontier.offer(sig, n_lits, Some(bid.0), || {
-                let mut cs = prefix(i);
-                cs.push(neg);
-                (cs, assignment.to_vec())
+                (sigs.build(i, &[neg]), assignment.to_vec())
             });
         }
         frontier.end_run();
@@ -678,7 +696,7 @@ impl GuidedEngine for Session<'_, '_> {
                 self.book.bits_high_water = run.stats.bits_consumed;
                 self.book.tracker.reset_bursts();
             }
-            let cs = prefix(path.len());
+            let cs = sigs.build(path.len(), &[]);
             let rp = engine.cfg.budget.policy.forced_repair;
             let mut info_for_meta = None;
             if rp.enabled {
@@ -729,7 +747,7 @@ impl GuidedEngine for Session<'_, '_> {
             // the plan carries forced literals for the diverging
             // location, pin the whole literal in one priority set
             // instead of re-deriving it byte by byte.
-            engine.offer_literal_pins(run, assignment, arena, &self.vars, frontier);
+            self.offer_literal_pins(run, &sigs, assignment, arena, frontier);
         }
     }
 
@@ -766,7 +784,8 @@ impl GuidedEngine for Session<'_, '_> {
                 if let Some(loc) = hot_loc {
                     book.escalation.loc_mut(loc).repair_bursts += 1;
                 }
-                let offered = ReplayEngine::offer_repair_ladder(frontier, info, attempt as usize);
+                let offered =
+                    ReplayEngine::offer_repair_ladder(frontier, info, attempt as usize, self.trace);
                 if !offered && book.counted_cutoffs.insert(info.key) {
                     frontier.note_repair_cutoff();
                 }

@@ -13,19 +13,20 @@
 //!    uninstrumented symbolic branch went the wrong way);
 //! 4. **concrete, not instrumented** — proceed, log untouched.
 //!
-//! "The next log bit" depends on the report's [`TraceLog`] format: the
-//! flat bitvector advances one global position; the per-location format
-//! advances the executing branch location's own cursor, so a trip-count
-//! error at an unlogged loop surfaces as a *local* mismatch at the first
-//! affected location instead of hundreds of coincidentally-agreeing bits
-//! downstream.
+//! "The next log bit" depends on the report's [`instrument::TraceLog`]
+//! format, read through [`LogReader`]: the flat bitvector advances one
+//! global position; the per-location format advances the executing
+//! branch location's own cursor, so a trip-count error at an unlogged
+//! loop surfaces as a *local* mismatch at the first affected location
+//! instead of hundreds of coincidentally-agreeing bits downstream.
 
 use crate::env::{ReplayEnv, SyscallDivergence};
+use crate::reader::LogReader;
 use concolic::{
     concretization_step, map_binop, map_unop, Concretization, InputVars, PathStep, PtrComponent,
     SymV,
 };
-use instrument::{CursorTable, Plan, TraceLog};
+use instrument::Plan;
 use minic::ast::{BinOp, UnOp};
 use minic::cost::Meter;
 use minic::memory::Memory;
@@ -108,24 +109,25 @@ pub struct ReplayRunStats {
     pub checkpoint_divergence: bool,
     /// Branch locations whose shipped log bits this run consumed — the
     /// escalation loop drops instrumented locations no run ever reads.
+    /// Filled from the log reader when the run ends.
     pub consulted: BTreeSet<u32>,
 }
 
-/// The replay host.
-pub struct ReplayHost {
+/// The replay host. It borrows what every run of a reproduction only
+/// reads (the plan, the indexed log, the input variables and the
+/// checkpoints) and owns what one run mutates.
+pub struct ReplayHost<'s> {
     /// Expression arena (session-wide).
     pub arena: ExprArena,
     /// The developer-site environment.
     pub env: ReplayEnv,
     /// The instrumentation plan (retained by the developer).
-    pub plan: Plan,
-    /// The shipped branch log (flat or per-location).
-    pub trace: TraceLog,
-    /// Consumption positions: one flat position, or one cursor per
-    /// branch location.
-    pub cursors: CursorTable,
+    pub plan: &'s Plan,
+    /// This run's reader over the shipped branch log: one flat
+    /// position, or one cursor per branch location.
+    pub log: LogReader<'s>,
     /// Input variable tables.
-    pub vars: InputVars,
+    pub vars: &'s InputVars,
     /// Path condition of this run.
     pub path: Vec<PathStep>,
     /// Captured stdout.
@@ -144,31 +146,27 @@ pub struct ReplayHost {
     /// the plan's checkpoint escalation rule was active). `checkpoints
     /// [k]` is every location's recorded stream length right after the
     /// `k`-th logged syscall; set by the engine after construction.
-    pub checkpoints: Vec<Vec<(u32, u64)>>,
+    pub checkpoints: &'s [Vec<(u32, u64)>],
     /// Logged syscalls executed so far this run (indexes `checkpoints`).
     pub logged_syscalls: usize,
 }
 
-impl ReplayHost {
+impl<'s> ReplayHost<'s> {
     /// Creates a replay host for one run.
     pub fn new(
         arena: ExprArena,
         env: ReplayEnv,
-        plan: Plan,
-        mut trace: TraceLog,
-        vars: InputVars,
+        plan: &'s Plan,
+        log: LogReader<'s>,
+        vars: &'s InputVars,
         crash_loc: Loc,
     ) -> Self {
-        // The report may have been deserialized from external JSON; the
-        // cursor lookups rely on the sorted-unique stream invariant.
-        trace.normalize();
         let last_taken = vec![None; plan.instrumented.len()];
         ReplayHost {
             arena,
             env,
             plan,
-            trace,
-            cursors: CursorTable::new(),
+            log,
             vars,
             path: Vec::new(),
             stdout: Vec::new(),
@@ -176,7 +174,7 @@ impl ReplayHost {
             concretization: Concretization::default(),
             crash_loc,
             last_taken,
-            checkpoints: Vec::new(),
+            checkpoints: &[],
             logged_syscalls: 0,
         }
     }
@@ -189,9 +187,8 @@ impl ReplayHost {
     }
 
     fn next_bit(&mut self, bid: BranchId) -> Option<bool> {
-        let b = self.trace.next_bit(&mut self.cursors, bid.0)?;
+        let b = self.log.next_bit(bid.0)?;
         self.stats.bits_consumed += 1;
-        self.stats.consulted.insert(bid.0);
         Some(b)
     }
 
@@ -204,8 +201,8 @@ impl ReplayHost {
     /// would collide at the stream's final bit.
     fn note_divergence(&mut self, bid: BranchId, symbolic: bool, consumed: bool) {
         self.stats.divergent_branch = Some((bid.0, symbolic));
-        if matches!(self.trace, TraceLog::Cursors(_)) {
-            let pos = self.cursors.position(bid.0);
+        if self.log.per_location() {
+            let pos = self.log.position(bid.0);
             let pos = if consumed { pos.saturating_sub(1) } else { pos };
             self.stats.divergent_cursor = Some((bid.0, pos));
         }
@@ -213,14 +210,14 @@ impl ReplayHost {
 
     /// True once every shipped bit has been consumed.
     pub fn log_exhausted(&self) -> bool {
-        self.trace.exhausted(&self.cursors)
+        self.log.exhausted()
     }
 
     /// True when a per-location stream just ran out while the rest of
     /// the log still holds bits — the overrun divergence signal. Always
     /// false under the flat format (one stream: its end IS the log's).
     fn overrun(&self) -> bool {
-        matches!(self.trace, TraceLog::Cursors(_)) && !self.log_exhausted()
+        self.log.per_location() && !self.log_exhausted()
     }
 
     /// The solver variable backing model event `k` (allocated on first
@@ -256,9 +253,8 @@ impl ReplayHost {
             // log's end-of-log semantics).
             return Ok(());
         };
-        for i in 0..snapshot.len() {
-            let (loc, expected) = self.checkpoints[k][i];
-            let got = self.cursors.position(loc);
+        for &(loc, expected) in snapshot {
+            let got = self.log.position(loc);
             if got != expected {
                 self.stats.checkpoint_divergence = true;
                 // Stall identity: the first bit index the two runs
@@ -272,7 +268,7 @@ impl ReplayHost {
     }
 }
 
-impl Host for ReplayHost {
+impl Host for ReplayHost<'_> {
     type V = SymV;
 
     fn shadow_binop(&mut self, op: BinOp, a: (i64, &SymV), b: (i64, &SymV), _out: i64) -> SymV {

@@ -31,6 +31,7 @@ pub mod engine;
 pub mod env;
 pub mod escalation;
 pub mod host;
+pub mod reader;
 pub mod stats;
 
 pub use engine::{ReplayBudget, ReplayConfig, ReplayEngine, ReplayResult};
@@ -40,6 +41,7 @@ pub use host::{
     ReplayHost, ReplayRunStats, BRANCH_DIVERGENCE, CHECKPOINT_DIVERGENCE, CURSOR_OVERRUN,
     IMPLICATION_VIOLATION, REACHED_CRASH_SITE,
 };
+pub use reader::{LogIndex, LogReader};
 pub use stats::{assignment_from_input, InputParts, LogStats};
 
 #[cfg(test)]

@@ -29,7 +29,7 @@
 //! frontier.offer_priority(sig, ..);  // forced / recovery sets, tried first
 //! while !frontier.run_full() {
 //!     let (sig, lits) = sigs.candidate(i, negated_lit_i);
-//!     frontier.offer(sig, lits, branch, || build_set(i));
+//!     frontier.offer(sig, lits, branch, || sigs.build(i, &[negated_lit_i]));
 //! }
 //! frontier.end_run();
 //! // the driver: pop_batch(width), solve, note_solved_sig / restore
@@ -485,7 +485,8 @@ pub fn signature(cs: &ConstraintSet) -> u128 {
 }
 
 /// The signatures of one run's candidate sets, known before any set is
-/// built.
+/// built, and the path split once into the two lists every set copies
+/// from.
 ///
 /// A run's path is a sequence of steps, each contributing one
 /// constraint, a literal or a range; a candidate is a path prefix plus
@@ -497,41 +498,88 @@ pub fn signature(cs: &ConstraintSet) -> u128 {
 /// ranges after every literal. The values are byte-identical to
 /// [`signature`] of the built set: both go through [`Fnv128::mix_lit`]
 /// and [`Fnv128::mix_range`].
+///
+/// The same pass keeps the path's literals and its ranges apart, so the
+/// literals and ranges of any prefix are two slices
+/// ([`prefix`](Self::prefix)), and a set is built from them with two
+/// slice copies ([`build`](Self::build)).
 #[derive(Debug)]
 pub struct PrefixSigs {
     /// `lit_states[i]`: the hash after the literals of `steps[..i]`.
     lit_states: Vec<Fnv128>,
-    /// The range steps as `(step index, constraint)`, in path order.
-    ranges: Vec<(usize, RangeConstraint)>,
+    /// The literal steps, in path order.
+    lits: Vec<Lit>,
+    /// The range steps, in path order.
+    ranges: Vec<RangeConstraint>,
+    /// `range_steps[k]`: the step index of `ranges[k]`.
+    range_steps: Vec<usize>,
 }
 
 impl PrefixSigs {
     /// Hashes a path given as its steps' constraints.
     pub fn new(steps: impl IntoIterator<Item = Constraint>) -> Self {
         let steps = steps.into_iter();
-        let mut lit_states = Vec::with_capacity(steps.size_hint().0 + 1);
+        let n = steps.size_hint().0;
+        let mut lit_states = Vec::with_capacity(n + 1);
+        let mut lits = Vec::with_capacity(n);
         let mut ranges = Vec::new();
+        let mut range_steps = Vec::new();
         let mut h = Fnv128::new();
         lit_states.push(h);
         for (i, step) in steps.enumerate() {
             match step {
-                Constraint::Range(rc) => ranges.push((i, rc)),
-                Constraint::Lit(lit) => h.mix_lit(&lit),
+                Constraint::Range(rc) => {
+                    ranges.push(rc);
+                    range_steps.push(i);
+                }
+                Constraint::Lit(lit) => {
+                    h.mix_lit(&lit);
+                    lits.push(lit);
+                }
             }
             lit_states.push(h);
         }
-        PrefixSigs { lit_states, ranges }
+        PrefixSigs {
+            lit_states,
+            lits,
+            ranges,
+            range_steps,
+        }
+    }
+
+    /// The number of range steps in `steps[..i]`.
+    fn ranges_before(&self, i: usize) -> usize {
+        self.range_steps.partition_point(|&j| j < i)
     }
 
     /// The signature and literal count of the set `steps[..i]` + `lit`.
     pub fn candidate(&self, i: usize, lit: Lit) -> (u128, usize) {
         let mut h = self.lit_states[i];
         h.mix_lit(&lit);
-        let n_ranges = self.ranges.partition_point(|&(j, _)| j < i);
-        for (_, rc) in &self.ranges[..n_ranges] {
+        let n_ranges = self.ranges_before(i);
+        for rc in &self.ranges[..n_ranges] {
             h.mix_range(rc);
         }
         (h.value(), i - n_ranges + 1)
+    }
+
+    /// The literals and the ranges of `steps[..i]`, in path order.
+    pub fn prefix(&self, i: usize) -> (&[Lit], &[RangeConstraint]) {
+        let n_ranges = self.ranges_before(i);
+        (&self.lits[..i - n_ranges], &self.ranges[..n_ranges])
+    }
+
+    /// The set `steps[..i]` + `tail`: each list is one slice copy into
+    /// a vector of exact capacity.
+    pub fn build(&self, i: usize, tail: &[Lit]) -> ConstraintSet {
+        let (prefix, ranges) = self.prefix(i);
+        let mut lits = Vec::with_capacity(prefix.len() + tail.len());
+        lits.extend_from_slice(prefix);
+        lits.extend_from_slice(tail);
+        ConstraintSet {
+            lits,
+            ranges: ranges.to_vec(),
+        }
     }
 }
 
@@ -1111,7 +1159,9 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
         // Paths mixing literal and range steps: the signature a candidate
         // is offered under must equal `signature()` of the set it builds,
-        // at every prefix length, for both polarities of the appended
+        // and the set built from the split path must equal the prefix
+        // collected step by step plus the literal, field for field, at
+        // every prefix length, for both polarities of the appended
         // literal.
         #[test]
         fn prefix_signatures_match_built_sets(
@@ -1139,11 +1189,18 @@ mod tests {
                 .collect();
             let sigs = PrefixSigs::new(steps.iter().copied());
             for i in 0..=steps.len() {
+                // The slices an engine hands `register_path`.
+                let path: ConstraintSet = steps[..i].iter().copied().collect();
+                let (lits, ranges) = sigs.prefix(i);
+                proptest::prop_assert_eq!(lits, &path.lits[..]);
+                proptest::prop_assert_eq!(ranges, &path.ranges[..]);
+                proptest::prop_assert_eq!(&sigs.build(i, &[]), &path);
                 for positive in [false, true] {
                     let lit = Lit { expr: ExprRef(extra), positive };
-                    let mut cs: ConstraintSet = steps[..i].iter().copied().collect();
+                    let mut cs = path.clone();
                     cs.push(lit);
                     proptest::prop_assert_eq!(sigs.candidate(i, lit), (signature(&cs), cs.len()));
+                    proptest::prop_assert_eq!(&sigs.build(i, &[lit]), &cs);
                 }
             }
         }

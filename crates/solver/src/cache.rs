@@ -167,8 +167,17 @@ impl PrefixCache {
         self.generation = arena.generation();
         self.paths_registered += 1;
         let mut h = Fnv128::new();
+        // Registered prefixes are closed under prefix, and the call that
+        // registered one also banked the interval and support of each of
+        // its literals: while the running prefix is registered, there is
+        // nothing to add.
+        let mut known = true;
         for l in lits {
             h.mix_lit(l);
+            if known && self.sat_prefixes.contains(&h.value()) {
+                continue;
+            }
+            known = false;
             self.sat_prefixes.insert(h.value());
             self.expr_ranges
                 .entry(l.expr)
@@ -308,6 +317,50 @@ mod tests {
         assert_eq!(cache.sat_prefix_len(&swapped), 0, "order matters");
         let flipped = vec![lits[0].negated()];
         assert_eq!(cache.sat_prefix_len(&flipped), 0, "polarity matters");
+    }
+
+    #[test]
+    fn registration_order_and_repeats_leave_the_same_cache() {
+        let (a, lits) = guard_chain(6);
+        let spliced = |head: &[Lit], tail: &[Lit]| [head, tail].concat();
+        // Paths sharing prefixes: a trunk, a prefix of it, siblings that
+        // leave it at different depths, and one that reorders its head.
+        let paths = [
+            lits.clone(),
+            lits[..3].to_vec(),
+            spliced(&lits[..2], &[lits[2].negated(), lits[4], lits[5]]),
+            spliced(&lits[..4], &[lits[5]]),
+            vec![lits[1], lits[0], lits[3]],
+        ];
+        let orders: [&[usize]; 4] = [
+            &[0, 1, 2, 3, 4],
+            &[4, 3, 2, 1, 0],
+            &[1, 1, 0, 2, 0, 3, 4, 4],
+            &[2, 3, 1, 0, 4, 2, 1],
+        ];
+        let cache_after = |order: &[usize]| {
+            let mut c = PrefixCache::new();
+            for &k in order {
+                c.register_path(&a, &paths[k], &[]);
+            }
+            c
+        };
+        let want = cache_after(orders[0]);
+        assert_eq!(want.n_prefixes(), 13, "distinct non-empty prefixes");
+        for order in &orders[1..] {
+            let got = cache_after(order);
+            assert_eq!(got.n_prefixes(), want.n_prefixes(), "{order:?}");
+            for p in &paths {
+                for n in 0..=p.len() {
+                    assert_eq!(got.sat_prefix_len(&p[..n]), want.sat_prefix_len(&p[..n]));
+                }
+            }
+            for e in lits.iter().map(|l| l.expr) {
+                assert_eq!(got.range_of(e), Some(range(&a, e)), "{order:?}");
+                assert_eq!(got.range_of(e), want.range_of(e));
+                assert_eq!(got.support_of(e), want.support_of(e));
+            }
+        }
     }
 
     #[test]
