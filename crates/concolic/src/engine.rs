@@ -15,69 +15,14 @@
 
 use crate::input::{realize, InputSpec, InputVars};
 use crate::label::{LabelMap, Profile};
-use crate::shadow::{Concretization, PathStep, StepOrigin, SymHost};
+use crate::shadow::{mark_argv_symbolic, PathStep, StepOrigin, SymHost};
 use minic::cost::Meter;
-use minic::memory::pack;
 use minic::vm::{CrashInfo, RunOutcome, Vm};
 use minic::CompiledProgram;
 use oskit::{Kernel, KernelConfig};
 use search::driver::{self, End, GuidedEngine};
-use search::{seeded_assignment, Frontier, PrefixSigs, SearchCounters, SearchLimits};
+use search::{seeded_assignment, Frontier, PrefixSigs, SearchCounters, SearchLimits, FUEL_PER_RUN};
 use solver::{Constraint, ExprArena, FastMap, PrefixCache, SolveCfg, VarId};
-
-/// Exploration budget. `max_runs` is the primary (deterministic) knob —
-/// the LC/HC axis of the paper; the others are safety caps. The shared
-/// knob surface lives in [`search::SearchLimits`], embedded here (and
-/// by `replay::ReplayBudget`) behind `Deref`, so `budget.max_runs` and
-/// friends read and write exactly as before the unification.
-#[derive(Debug, Clone)]
-pub struct Budget {
-    /// The shared search knobs (run cap, fuel, wall clock, frontier
-    /// caps, policy, workers, prefix cache).
-    pub limits: SearchLimits,
-    /// How symbolic address components are concretized (offset-
-    /// generalizing region bounds by default; `Pin` restores the classic
-    /// equality-pin behavior). Engine-specific: not part of the shared
-    /// limits.
-    pub concretization: Concretization,
-}
-
-impl Default for Budget {
-    fn default() -> Self {
-        Budget {
-            limits: SearchLimits::analysis(),
-            concretization: Concretization::default(),
-        }
-    }
-}
-
-impl std::ops::Deref for Budget {
-    type Target = SearchLimits;
-    fn deref(&self) -> &SearchLimits {
-        &self.limits
-    }
-}
-
-impl std::ops::DerefMut for Budget {
-    fn deref_mut(&mut self) -> &mut SearchLimits {
-        &mut self.limits
-    }
-}
-
-impl From<SearchLimits> for Budget {
-    fn from(limits: SearchLimits) -> Self {
-        Budget {
-            limits,
-            ..Budget::default()
-        }
-    }
-}
-
-impl From<Budget> for SearchLimits {
-    fn from(b: Budget) -> Self {
-        b.limits
-    }
-}
 
 /// Full configuration of one analysis session.
 #[derive(Debug, Clone)]
@@ -86,8 +31,9 @@ pub struct SessionConfig {
     pub spec: InputSpec,
     /// Base kernel configuration (seed, signal plan, concrete files...).
     pub kernel: KernelConfig,
-    /// Exploration budget.
-    pub budget: Budget,
+    /// Exploration budget. `max_runs` is the primary (deterministic)
+    /// knob — the LC/HC axis of the paper; the others are safety caps.
+    pub budget: SearchLimits,
     /// Seed for the initial input and the solver.
     pub seed: u64,
     /// Solver configuration.
@@ -100,7 +46,7 @@ impl SessionConfig {
         SessionConfig {
             spec,
             kernel: KernelConfig::default(),
-            budget: Budget::default(),
+            budget: SearchLimits::analysis(),
             seed: 7,
             solve: SolveCfg::default(),
         }
@@ -182,20 +128,6 @@ pub struct Engine<'p> {
     cfg: SessionConfig,
 }
 
-/// Marks every symbolic argv byte of a prepared VM with its variable.
-pub fn mark_argv_symbolic(vm: &mut Vm<'_, SymHost>) {
-    let objs: Vec<_> = vm.argv_objects().to_vec();
-    let argv_vars = vm.host.vars.argv.clone();
-    for (ai, arg_vars) in argv_vars.iter().enumerate() {
-        for (bi, vid) in arg_vars.iter().enumerate() {
-            let e = vm.host.arena.var_expr(*vid);
-            vm.mem
-                .set_shadow(pack(objs[ai], bi as u32), Some(e))
-                .expect("argv bytes exist");
-        }
-    }
-}
-
 impl<'p> Engine<'p> {
     /// Creates an engine.
     pub fn new(cp: &'p CompiledProgram, cfg: SessionConfig) -> Self {
@@ -216,29 +148,36 @@ impl<'p> Engine<'p> {
         assignment: &[i64],
     ) -> (RunRecord, ExprArena) {
         let (argv, kcfg) = realize(&self.cfg.spec, vars, assignment, &self.cfg.kernel);
-        let mut host = SymHost::new(arena, Kernel::new(kcfg), vars.clone(), self.cp.n_branches());
-        host.concretization = self.cfg.budget.concretization;
+        let host = SymHost::new(
+            arena,
+            self.cfg.budget.concretization,
+            Kernel::new(kcfg),
+            vars.clone(),
+            self.cp.n_branches(),
+        );
         let mut vm = Vm::new(self.cp, host);
-        vm.fuel = self.cfg.budget.fuel_per_run;
+        vm.fuel = FUEL_PER_RUN;
         vm.prepare(&argv);
-        mark_argv_symbolic(&mut vm);
+        let objs = vm.argv_objects().to_vec();
+        mark_argv_symbolic(&mut vm.mem, &objs, vars, &mut vm.host.shadow.arena);
         let outcome = vm.resume();
         let meter = vm.meter.clone();
         let host = vm.host;
+        let shadow = host.shadow;
         (
             RunRecord {
                 outcome,
-                path: host.path,
+                path: shadow.path,
                 nondet: host.nondet_values,
                 meter,
                 argv,
                 stdout: host.stdout,
                 labels: host.labels,
                 profile: host.profile,
-                concretization_ranges: host.concretization_ranges,
-                concretization_pins: host.concretization_pins,
+                concretization_ranges: shadow.concretization_ranges,
+                concretization_pins: shadow.concretization_pins,
             },
-            host.arena,
+            shadow.arena,
         )
     }
 
@@ -270,7 +209,7 @@ impl<'p> Engine<'p> {
         };
         let finish = driver::drive(
             &mut analysis,
-            &self.cfg.budget.limits,
+            &self.cfg.budget,
             self.cfg.seed,
             &self.cfg.solve,
             arena,

@@ -56,14 +56,6 @@ pub struct InputSpec {
 }
 
 impl InputSpec {
-    /// A spec with only concrete argv (no symbolic input at all).
-    pub fn concrete_argv(argv: &[&[u8]]) -> Self {
-        InputSpec {
-            argv: argv.iter().map(|a| ArgSpec::Fixed(a.to_vec())).collect(),
-            ..InputSpec::default()
-        }
-    }
-
     /// The coreutils shape: `prog` plus `n_args` symbolic arguments of
     /// `arg_len` bytes each (paper §5.2).
     pub fn argv_symbolic(prog: &str, n_args: usize, arg_len: usize) -> Self {
@@ -98,8 +90,9 @@ impl InputSpec {
 }
 
 /// The variable tables of one session: maps every symbolic input byte to
-/// its solver variable.
-#[derive(Debug, Clone)]
+/// its solver variable. The ids are consecutive in spec order: argv,
+/// stdin, files, clients.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InputVars {
     /// Per argv argument: the variable of each byte (empty for fixed).
     pub argv: Vec<Vec<VarId>>,
@@ -115,45 +108,52 @@ pub struct InputVars {
 }
 
 impl InputVars {
-    /// Allocates variables for every symbolic byte of `spec`.
-    pub fn alloc(arena: &mut ExprArena, spec: &InputSpec) -> Self {
-        let mut argv = Vec::new();
-        for a in &spec.argv {
-            match a {
-                ArgSpec::Fixed(_) => argv.push(Vec::new()),
-                ArgSpec::Symbolic(n) => argv.push(
-                    (0..*n)
-                        .map(|_| arena.fresh_var(VarInfo::byte()).0)
-                        .collect(),
-                ),
-            }
-        }
-        let stdin = (0..spec.stdin_len)
-            .map(|_| arena.fresh_var(VarInfo::byte()).0)
+    /// The variables of every symbolic byte of `spec`, numbered from
+    /// `first` — the ids [`InputVars::alloc`] assigns on an arena that
+    /// holds `first` variables, computed from the spec alone.
+    pub fn layout(spec: &InputSpec, first: u32) -> Self {
+        let mut next = first;
+        let mut take = |n: usize| -> Vec<VarId> {
+            let ids = (next..next + n as u32).map(VarId).collect();
+            next += n as u32;
+            ids
+        };
+        let argv = spec
+            .argv
+            .iter()
+            .map(|a| match a {
+                ArgSpec::Fixed(_) => Vec::new(),
+                ArgSpec::Symbolic(n) => take(*n),
+            })
             .collect();
-        let mut files = HashMap::new();
-        for f in &spec.files {
-            let vars: Vec<VarId> = (0..f.len)
-                .map(|_| arena.fresh_var(VarInfo::byte()).0)
-                .collect();
-            files.insert(normalize_path(f.path.as_bytes()), vars);
-        }
-        let mut clients = Vec::new();
-        for c in &spec.clients {
-            let total: usize = c.packet_lens.iter().sum();
-            clients.push(
-                (0..total)
-                    .map(|_| arena.fresh_var(VarInfo::byte()).0)
-                    .collect(),
-            );
-        }
+        let stdin = take(spec.stdin_len);
+        let files = spec
+            .files
+            .iter()
+            .map(|f| (normalize_path(f.path.as_bytes()), take(f.len)))
+            .collect();
+        let clients = spec
+            .clients
+            .iter()
+            .map(|c| take(c.packet_lens.iter().sum()))
+            .collect();
         InputVars {
             argv,
             stdin,
             files,
             clients,
-            n_controllable: arena.n_vars() as u32,
+            n_controllable: next,
         }
+    }
+
+    /// Allocates a byte-domain variable in `arena` for every symbolic
+    /// byte of `spec`.
+    pub fn alloc(arena: &mut ExprArena, spec: &InputSpec) -> Self {
+        let vars = InputVars::layout(spec, arena.n_vars() as u32);
+        for _ in 0..spec.n_symbolic_bytes() {
+            arena.fresh_var(VarInfo::byte());
+        }
+        vars
     }
 
     /// The variable carrying byte `offset` of `stream`, if it is a
@@ -168,11 +168,6 @@ impl InputVars {
             StreamSource::Conn(idx) => self.clients.get(*idx).and_then(|v| v.get(offset).copied()),
         }
     }
-
-    /// True if the variable is controllable program input.
-    pub fn is_controllable(&self, v: VarId) -> bool {
-        v.0 < self.n_controllable
-    }
 }
 
 fn normalize_path(path: &[u8]) -> Vec<u8> {
@@ -185,8 +180,67 @@ fn normalize_path(path: &[u8]) -> Vec<u8> {
     }
 }
 
-fn byte_of(v: VarId, assignment: &[i64]) -> u8 {
-    (assignment.get(v.0 as usize).copied().unwrap_or(0) & 0xff) as u8
+/// Concrete input streams realized from a solver assignment.
+#[derive(Debug, Clone, Default)]
+pub struct Streams {
+    /// argv strings (argv\[0\] included).
+    pub argv: Vec<Vec<u8>>,
+    /// stdin bytes.
+    pub stdin: Vec<u8>,
+    /// File contents keyed by normalized path.
+    pub files: HashMap<Vec<u8>, Vec<u8>>,
+    /// Per-connection byte streams, packets flattened: replay paces them
+    /// from the log or the models; [`realize`] splits them back into the
+    /// spec's packets.
+    pub conns: Vec<Vec<u8>>,
+}
+
+impl Streams {
+    /// Installs the files into `fs`, after creating their parent
+    /// directories.
+    pub fn install_files(&self, fs: &mut SimFs) {
+        for path in self.files.keys() {
+            let path = String::from_utf8_lossy(path);
+            let mut acc = String::new();
+            for comp in path.split('/').filter(|c| !c.is_empty()) {
+                acc.push('/');
+                acc.push_str(comp);
+                if acc != path {
+                    fs.install_dir(&acc);
+                }
+            }
+        }
+        for (path, content) in &self.files {
+            fs.install_file(&String::from_utf8_lossy(path), content.clone());
+        }
+    }
+}
+
+/// Builds the concrete input streams of an assignment: every symbolic
+/// byte is its variable's value masked to a byte, and a variable the
+/// assignment does not reach reads as 0.
+pub fn realize_streams(spec: &InputSpec, vars: &InputVars, assignment: &[i64]) -> Streams {
+    let byte = |v: &VarId| (assignment.get(v.0 as usize).copied().unwrap_or(0) & 0xff) as u8;
+    let bytes = |vs: &[VarId]| vs.iter().map(byte).collect::<Vec<u8>>();
+    let argv = spec
+        .argv
+        .iter()
+        .zip(&vars.argv)
+        .map(|(a, vs)| match a {
+            ArgSpec::Fixed(fixed) => fixed.clone(),
+            ArgSpec::Symbolic(_) => bytes(vs),
+        })
+        .collect();
+    Streams {
+        argv,
+        stdin: bytes(&vars.stdin),
+        files: vars
+            .files
+            .iter()
+            .map(|(path, vs)| (path.clone(), bytes(vs)))
+            .collect(),
+        conns: vars.clients.iter().map(|vs| bytes(vs)).collect(),
+    }
 }
 
 /// Builds concrete argv and a kernel configuration from an assignment.
@@ -199,64 +253,32 @@ pub fn realize(
     assignment: &[i64],
     base: &KernelConfig,
 ) -> (Vec<Vec<u8>>, KernelConfig) {
-    let mut argv = Vec::new();
-    for (i, a) in spec.argv.iter().enumerate() {
-        match a {
-            ArgSpec::Fixed(bytes) => argv.push(bytes.clone()),
-            ArgSpec::Symbolic(n) => argv.push(
-                (0..*n)
-                    .map(|j| byte_of(vars.argv[i][j], assignment))
-                    .collect(),
-            ),
-        }
-    }
+    let streams = realize_streams(spec, vars, assignment);
     let mut cfg = base.clone();
-    cfg.stdin = vars.stdin.iter().map(|v| byte_of(*v, assignment)).collect();
-    let mut fs = base.fs.clone();
-    ensure_parents(&mut fs, spec);
-    for f in &spec.files {
-        let key = normalize_path(f.path.as_bytes());
-        let content: Vec<u8> = vars.files[&key]
-            .iter()
-            .map(|v| byte_of(*v, assignment))
-            .collect();
-        fs.install_file(std::str::from_utf8(&key).expect("paths are ASCII"), content);
-    }
-    cfg.fs = fs;
-    let mut clients = Vec::new();
-    for (ci, c) in spec.clients.iter().enumerate() {
-        let all: Vec<u8> = vars.clients[ci]
-            .iter()
-            .map(|v| byte_of(*v, assignment))
-            .collect();
-        let mut packets = Vec::new();
-        let mut pos = 0;
-        for len in &c.packet_lens {
-            packets.push(all[pos..pos + len].to_vec());
-            pos += len;
-        }
-        clients.push(ClientScript {
-            packets,
-            close_after: c.close_after,
-        });
-    }
-    cfg.clients = clients;
-    (argv, cfg)
-}
-
-fn ensure_parents(fs: &mut SimFs, spec: &InputSpec) {
-    for f in &spec.files {
-        let key = normalize_path(f.path.as_bytes());
-        let path = String::from_utf8_lossy(&key).to_string();
-        let mut acc = String::new();
-        for comp in path.split('/').filter(|c| !c.is_empty()) {
-            acc.push('/');
-            acc.push_str(comp);
-            if acc != path {
-                fs.install_dir(&acc);
+    streams.install_files(&mut cfg.fs);
+    cfg.stdin = streams.stdin;
+    cfg.clients = spec
+        .clients
+        .iter()
+        .zip(streams.conns)
+        .map(|(c, conn)| {
+            let mut rest = &conn[..];
+            let packets = c
+                .packet_lens
+                .iter()
+                .map(|&len| {
+                    let (packet, tail) = rest.split_at(len);
+                    rest = tail;
+                    packet.to_vec()
+                })
+                .collect();
+            ClientScript {
+                packets,
+                close_after: c.close_after,
             }
-        }
-    }
+        })
+        .collect();
+    (streams.argv, cfg)
 }
 
 #[cfg(test)]

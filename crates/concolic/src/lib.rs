@@ -15,12 +15,10 @@ pub mod input;
 pub mod label;
 pub mod shadow;
 
-pub use engine::{
-    mark_argv_symbolic, AnalysisResult, Budget, Engine, FoundCrash, RunRecord, SessionConfig,
+pub use engine::{AnalysisResult, Engine, FoundCrash, RunRecord, SessionConfig};
+pub use input::{
+    realize, realize_streams, ArgSpec, ClientSpec, FileSpec, InputSpec, InputVars, Streams,
 };
-pub use input::{realize, ArgSpec, ClientSpec, FileSpec, InputSpec, InputVars};
 pub use label::{BranchLabel, LabelMap, Profile};
-pub use shadow::{
-    concretization_step, map_binop, map_unop, Concretization, PathStep, PtrComponent, StepOrigin,
-    SymHost, SymV,
-};
+pub use search::Concretization;
+pub use shadow::{mark_argv_symbolic, PathStep, Shadow, StepOrigin, SymHost, SymV};

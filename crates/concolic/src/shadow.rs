@@ -1,8 +1,13 @@
-//! The concolic VM host: symbolic shadows over concrete execution.
+//! The concolic VM hosts' shared half: symbolic shadows over concrete
+//! execution.
 //!
-//! [`SymHost`] mirrors every VM value that depends on program input with
-//! an expression in the solver arena. Branches on shadowed conditions
-//! append literals to the run's path (§2.1's constraint collection).
+//! A [`Shadow`] mirrors every VM value that depends on program input with
+//! an expression in the solver arena and collects the run's path
+//! condition (§2.1's constraint collection). Both concolic hosts hold
+//! one: the analysis host [`SymHost`] and the replay host, which adds
+//! only §3.1's log-guided branch cases. Each host forwards the six shadow
+//! operations of [`minic::vm::Host`] to it, so the symbolic semantics of
+//! every VM operation is defined once.
 //!
 //! Symbolic pointer components are concretized — but, by default, with an
 //! **offset-generalizing** constraint rather than the equality pin of the
@@ -18,11 +23,12 @@ use crate::input::InputVars;
 use crate::label::{LabelMap, Profile};
 use minic::ast::{BinOp, UnOp};
 use minic::cost::Meter;
-use minic::memory::Memory;
+use minic::memory::{pack, Memory, ObjId};
 use minic::types::Sys;
 use minic::vm::{CrashKind, Host, HostStop, PtrRegion};
 use minic::{BranchId, Loc};
 use oskit::Kernel;
+use search::Concretization;
 use solver::{
     div_ceil, div_floor, Constraint, ExprArena, ExprRef, Lit, Op, RangeConstraint, VarId, VarInfo,
 };
@@ -30,17 +36,9 @@ use solver::{
 /// Shadow value: `None` for concrete, `Some(expr)` for input-dependent.
 pub type SymV = Option<ExprRef>;
 
-/// How symbolic address components are concretized.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Concretization {
-    /// The classic CUTE-style equality pin (`expr == observed`).
-    Pin,
-    /// Offset-generalizing: bound the component to the values that keep
-    /// the access inside the object's region, falling back to the pin
-    /// when no region is known.
-    #[default]
-    RegionBounds,
-}
+/// The analysis host's cap on path length: keeps pathological runs from
+/// exhausting memory. Replay records its paths uncapped.
+const ANALYSIS_PATH_CAP: usize = 200_000;
 
 /// Where a path literal came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +54,7 @@ pub enum StepOrigin {
 pub struct PathStep {
     /// The constraint this step asserts: a branch condition literal, or
     /// a concretization's region range or equality pin
-    /// ([`concretization_step`]).
+    /// ([`Shadow::ptr_add`]).
     pub constraint: Constraint,
     /// Why the constraint exists.
     pub origin: StepOrigin,
@@ -89,7 +87,7 @@ impl PathStep {
 
 /// Which component of a `ptr + idx * stride` a concretization targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PtrComponent {
+enum PtrComponent {
     /// The base pointer itself is symbolic.
     Base,
     /// The element index is symbolic (the common stream-offset case).
@@ -97,8 +95,7 @@ pub enum PtrComponent {
 }
 
 /// Builds the path step concretizing one symbolic component of a pointer
-/// addition. Shared by the analysis host ([`SymHost`]) and the replay
-/// host, and the one place that decides a concretization's constraint.
+/// addition: the one place that decides a concretization's constraint.
 ///
 /// Under [`Concretization::RegionBounds`] with a live region, the step
 /// keeps the access in bounds instead of pinning it:
@@ -113,7 +110,7 @@ pub enum PtrComponent {
 /// falls outside the computed bounds (dead object, exotic arithmetic),
 /// the step is the equality pin `expr == observed`.
 #[allow(clippy::too_many_arguments)]
-pub fn concretization_step(
+fn concretization_step(
     arena: &mut ExprArena,
     mode: Concretization,
     expr: ExprRef,
@@ -164,7 +161,7 @@ pub fn concretization_step(
 }
 
 /// Translates a VM binary operator to a solver operator.
-pub fn map_binop(op: BinOp) -> Op {
+fn map_binop(op: BinOp) -> Op {
     match op {
         BinOp::Add => Op::Add,
         BinOp::Sub => Op::Sub,
@@ -186,7 +183,7 @@ pub fn map_binop(op: BinOp) -> Op {
 }
 
 /// Translates a VM unary operator to a solver operator.
-pub fn map_unop(op: UnOp) -> solver::UnOp {
+fn map_unop(op: UnOp) -> solver::UnOp {
     match op {
         UnOp::Neg => solver::UnOp::Neg,
         UnOp::Not => solver::UnOp::Not,
@@ -194,57 +191,38 @@ pub fn map_unop(op: UnOp) -> solver::UnOp {
     }
 }
 
-/// The concolic host. Owns the arena, the kernel and the run's records.
-pub struct SymHost {
+/// The symbolic state of one concolic run: the session's expression
+/// arena, the path condition collected so far, and the shadow semantics
+/// of every VM operation. Owned by both concolic hosts.
+pub struct Shadow {
     /// Expression arena (session-wide, moved in and out per run).
     pub arena: ExprArena,
-    /// Kernel backing this run.
-    pub kernel: Kernel,
-    /// Input variable tables.
-    pub vars: InputVars,
     /// The path condition collected this run.
     pub path: Vec<PathStep>,
-    /// Branch labels observed this run.
-    pub labels: LabelMap,
-    /// Per-location execution counts this run.
-    pub profile: Profile,
-    /// Observed values of non-determinism variables created this run.
-    pub nondet_values: Vec<(VarId, i64)>,
-    /// Captured stdout.
-    pub stdout: Vec<u8>,
+    /// How symbolic address components are concretized.
+    pub concretization: Concretization,
     /// Concretizations that emitted the offset-generalizing range form.
     pub concretization_ranges: u64,
     /// Concretizations that fell back to (or were configured as) the pin.
     pub concretization_pins: u64,
-    /// How symbolic address components are concretized.
-    pub concretization: Concretization,
-    /// Cap on path length (0 = unlimited): keeps pathological runs from
-    /// exhausting memory.
-    pub max_path_len: usize,
-    /// True while the path is still being recorded (below the cap).
-    path_overflow: bool,
+    /// Cap on path length (`None` = unlimited); steps past it are dropped.
+    pub path_cap: Option<usize>,
 }
 
-impl SymHost {
-    /// Creates a host for one run.
-    pub fn new(arena: ExprArena, kernel: Kernel, vars: InputVars, n_branches: usize) -> Self {
-        SymHost {
+impl Shadow {
+    /// A shadow with an empty path over `arena`.
+    pub fn new(arena: ExprArena, concretization: Concretization, path_cap: Option<usize>) -> Self {
+        Shadow {
             arena,
-            kernel,
-            vars,
             path: Vec::new(),
-            labels: LabelMap::new(n_branches),
-            profile: Profile::new(n_branches),
-            nondet_values: Vec::new(),
-            stdout: Vec::new(),
+            concretization,
             concretization_ranges: 0,
             concretization_pins: 0,
-            concretization: Concretization::default(),
-            max_path_len: 200_000,
-            path_overflow: false,
+            path_cap,
         }
     }
 
+    #[inline]
     fn lift(&mut self, v: i64, s: &SymV) -> ExprRef {
         match s {
             Some(e) => *e,
@@ -252,31 +230,19 @@ impl SymHost {
         }
     }
 
-    fn push_step(&mut self, step: PathStep) {
-        if self.max_path_len > 0 && self.path.len() >= self.max_path_len {
-            self.path_overflow = true;
+    /// Appends a step to the path condition, unless the path has reached
+    /// its cap.
+    #[inline]
+    pub fn push(&mut self, step: PathStep) {
+        if self.path_cap.is_some_and(|cap| self.path.len() >= cap) {
             return;
         }
         self.path.push(step);
     }
 
-    /// True if the path was truncated at the cap.
-    pub fn path_overflowed(&self) -> bool {
-        self.path_overflow
-    }
-
-    /// Creates a fresh non-determinism variable observed at `value`.
-    fn fresh_nondet(&mut self, value: i64, lo: i64, hi: i64) -> ExprRef {
-        let (id, e) = self.arena.fresh_var(VarInfo::range(lo, hi));
-        self.nondet_values.push((id, value));
-        e
-    }
-}
-
-impl Host for SymHost {
-    type V = SymV;
-
-    fn shadow_binop(&mut self, op: BinOp, a: (i64, &SymV), b: (i64, &SymV), _out: i64) -> SymV {
+    /// `a op b`: symbolic when either operand is.
+    #[inline]
+    pub fn binop(&mut self, op: BinOp, a: (i64, &SymV), b: (i64, &SymV)) -> SymV {
         if a.1.is_none() && b.1.is_none() {
             return None;
         }
@@ -285,31 +251,38 @@ impl Host for SymHost {
         Some(self.arena.bin(map_binop(op), ea, eb))
     }
 
-    fn shadow_unop(&mut self, op: UnOp, a: (i64, &SymV), _out: i64) -> SymV {
+    /// `op a`.
+    #[inline]
+    pub fn unop(&mut self, op: UnOp, a: (i64, &SymV)) -> SymV {
         let e = (*a.1)?;
         Some(self.arena.un(map_unop(op), e))
     }
 
-    fn shadow_mask_char(&mut self, a: (i64, &SymV), _out: i64) -> SymV {
+    /// The `char` truncation of `a`.
+    #[inline]
+    pub fn mask_char(&mut self, a: (i64, &SymV)) -> SymV {
         let e = (*a.1)?;
         Some(self.arena.mask_char(e))
     }
 
-    fn shadow_bool(&mut self, a: (i64, &SymV), _out: i64) -> SymV {
+    /// The 0/1 normalization of `a`.
+    #[inline]
+    pub fn boolify(&mut self, a: (i64, &SymV)) -> SymV {
         let e = (*a.1)?;
         Some(self.arena.boolify(e))
     }
 
-    fn shadow_ptr_add(
+    /// `ptr + idx * stride`. Addresses stay concrete; each symbolic
+    /// component is concretized with a region range or an equality pin
+    /// per [`Shadow::concretization`].
+    #[inline]
+    pub fn ptr_add(
         &mut self,
         ptr: (i64, &SymV),
         idx: (i64, &SymV),
         stride: u32,
-        _out: i64,
         region: Option<PtrRegion>,
     ) -> SymV {
-        // Addresses stay concrete; each symbolic component is concretized
-        // with a region range or an equality pin per the policy.
         for (component, (val, sh), other) in [
             (PtrComponent::Base, ptr, idx.0),
             (PtrComponent::Index, idx, ptr.0),
@@ -330,10 +303,117 @@ impl Host for SymHost {
                 } else {
                     self.concretization_pins += 1;
                 }
-                self.push_step(step);
+                self.push(step);
             }
         }
         None
+    }
+
+    /// `(a - b) / stride`, the element distance of two pointers.
+    #[inline]
+    pub fn ptr_diff(&mut self, a: (i64, &SymV), b: (i64, &SymV), stride: u32) -> SymV {
+        if a.1.is_none() && b.1.is_none() {
+            return None;
+        }
+        let ea = self.lift(a.0, a.1);
+        let eb = self.lift(b.0, b.1);
+        let diff = self.arena.bin(Op::Sub, ea, eb);
+        let s = self.arena.constant(stride.max(1) as i64);
+        Some(self.arena.bin(Op::Div, diff, s))
+    }
+}
+
+/// Marks every symbolic argv byte of a prepared VM's memory (the argv
+/// objects `argv_objs`) with its input variable.
+pub fn mark_argv_symbolic(
+    mem: &mut Memory<SymV>,
+    argv_objs: &[ObjId],
+    vars: &InputVars,
+    arena: &mut ExprArena,
+) {
+    for (obj, arg_vars) in argv_objs.iter().zip(&vars.argv) {
+        for (bi, vid) in arg_vars.iter().enumerate() {
+            mem.set_shadow(pack(*obj, bi as u32), Some(arena.var_expr(*vid)))
+                .expect("argv bytes exist");
+        }
+    }
+}
+
+/// The analysis host: the [`Shadow`] over the simulated kernel, plus the
+/// run's labels, profile and non-determinism.
+pub struct SymHost {
+    /// The run's symbolic state (arena, path, concretization tallies).
+    pub shadow: Shadow,
+    /// Kernel backing this run.
+    pub kernel: Kernel,
+    /// Input variable tables.
+    pub vars: InputVars,
+    /// Branch labels observed this run.
+    pub labels: LabelMap,
+    /// Per-location execution counts this run.
+    pub profile: Profile,
+    /// Observed values of non-determinism variables created this run.
+    pub nondet_values: Vec<(VarId, i64)>,
+    /// Captured stdout.
+    pub stdout: Vec<u8>,
+}
+
+impl SymHost {
+    /// Creates a host for one run, its path capped at 200,000 steps.
+    pub fn new(
+        arena: ExprArena,
+        concretization: Concretization,
+        kernel: Kernel,
+        vars: InputVars,
+        n_branches: usize,
+    ) -> Self {
+        SymHost {
+            shadow: Shadow::new(arena, concretization, Some(ANALYSIS_PATH_CAP)),
+            kernel,
+            vars,
+            labels: LabelMap::new(n_branches),
+            profile: Profile::new(n_branches),
+            nondet_values: Vec::new(),
+            stdout: Vec::new(),
+        }
+    }
+
+    /// Creates a fresh non-determinism variable observed at `value`.
+    fn fresh_nondet(&mut self, value: i64, lo: i64, hi: i64) -> ExprRef {
+        let (id, e) = self.shadow.arena.fresh_var(VarInfo::range(lo, hi));
+        self.nondet_values.push((id, value));
+        e
+    }
+}
+
+impl Host for SymHost {
+    type V = SymV;
+
+    fn shadow_binop(&mut self, op: BinOp, a: (i64, &SymV), b: (i64, &SymV), _out: i64) -> SymV {
+        self.shadow.binop(op, a, b)
+    }
+
+    fn shadow_unop(&mut self, op: UnOp, a: (i64, &SymV), _out: i64) -> SymV {
+        self.shadow.unop(op, a)
+    }
+
+    fn shadow_mask_char(&mut self, a: (i64, &SymV), _out: i64) -> SymV {
+        self.shadow.mask_char(a)
+    }
+
+    fn shadow_bool(&mut self, a: (i64, &SymV), _out: i64) -> SymV {
+        self.shadow.boolify(a)
+    }
+
+    fn shadow_ptr_add(
+        &mut self,
+        ptr: (i64, &SymV),
+        idx: (i64, &SymV),
+        stride: u32,
+        _out: i64,
+        region: Option<PtrRegion>,
+    ) -> SymV {
+        self.shadow.ptr_add(ptr, idx, stride, region)
     }
 
     fn shadow_ptr_diff(
@@ -343,14 +423,7 @@ impl Host for SymHost {
         stride: u32,
         _out: i64,
     ) -> SymV {
-        if a.1.is_none() && b.1.is_none() {
-            return None;
-        }
-        let ea = self.lift(a.0, a.1);
-        let eb = self.lift(b.0, b.1);
-        let diff = self.arena.bin(Op::Sub, ea, eb);
-        let s = self.arena.constant(stride.max(1) as i64);
-        Some(self.arena.bin(Op::Div, diff, s))
+        self.shadow.ptr_diff(a, b, stride)
     }
 
     fn on_branch(
@@ -364,7 +437,7 @@ impl Host for SymHost {
         self.labels.observe(bid, symbolic);
         self.profile.observe(bid, symbolic);
         if let Some(e) = cond.1 {
-            self.push_step(PathStep::branch(bid, *e, taken));
+            self.shadow.push(PathStep::branch(bid, *e, taken));
         }
         Ok(0)
     }
@@ -390,7 +463,7 @@ impl Host for SymHost {
                         Some((src, off)) => self
                             .vars
                             .var_for(src, off + i)
-                            .map(|vid| self.arena.var_expr(vid)),
+                            .map(|vid| self.shadow.arena.var_expr(vid)),
                         // Input-flagged writes without a stream are
                         // non-deterministic kernel outputs (select ready
                         // flags): fresh 0/1 variables.
@@ -437,7 +510,6 @@ mod tests {
     use super::*;
     use crate::input::{ArgSpec, InputSpec, InputVars};
     use minic::build;
-    use minic::memory::pack;
     use minic::vm::{RunOutcome, Vm};
     use oskit::KernelConfig;
 
@@ -454,22 +526,15 @@ mod tests {
         let vars = InputVars::alloc(&mut arena, &spec);
         let host = SymHost::new(
             arena,
+            Concretization::default(),
             Kernel::new(KernelConfig::default()),
-            vars,
+            vars.clone(),
             cp.n_branches(),
         );
         let mut vm = Vm::new(&cp, host);
         vm.prepare(&argv);
-        // Mark argv bytes symbolic.
-        let objs: Vec<_> = vm.argv_objects().to_vec();
-        for (ai, arg_vars) in vm.host.vars.argv.clone().iter().enumerate() {
-            for (bi, vid) in arg_vars.iter().enumerate() {
-                let e = vm.host.arena.var_expr(*vid);
-                vm.mem
-                    .set_shadow(pack(objs[ai], bi as u32), Some(e))
-                    .unwrap();
-            }
-        }
+        let objs = vm.argv_objects().to_vec();
+        mark_argv_symbolic(&mut vm.mem, &objs, &vars, &mut vm.host.shadow.arena);
         let out = vm.resume();
         (out, vm.host)
     }
@@ -484,12 +549,14 @@ mod tests {
         "#;
         let (out, host) = run_symbolic(src, vec![b"p".to_vec(), b"a".to_vec()], &[1]);
         assert_eq!(out, RunOutcome::Exited(1));
-        assert_eq!(host.path.len(), 1);
-        assert!(host.path[0].taken);
+        assert_eq!(host.shadow.path.len(), 1);
+        assert!(host.shadow.path[0].taken);
         assert_eq!(host.labels.count(crate::label::BranchLabel::Symbolic), 1);
         // The literal must be (in0 == 97).
         assert_eq!(
-            host.arena.display(host.path[0].constraint.expr()),
+            host.shadow
+                .arena
+                .display(host.shadow.path[0].constraint.expr()),
             "(in0 == 97)"
         );
     }
@@ -504,7 +571,7 @@ mod tests {
             }
         "#;
         let (_, host) = run_symbolic(src, vec![b"p".to_vec(), b"a".to_vec()], &[1]);
-        assert!(host.path.is_empty());
+        assert!(host.shadow.path.is_empty());
         assert_eq!(host.labels.count(crate::label::BranchLabel::Concrete), 1);
         assert_eq!(host.labels.count(crate::label::BranchLabel::Symbolic), 0);
     }
@@ -521,8 +588,11 @@ mod tests {
             }
         "#;
         let (_, host) = run_symbolic(src, vec![b"p".to_vec(), b"Z".to_vec()], &[1]);
-        assert_eq!(host.path.len(), 1);
-        let s = host.arena.display(host.path[0].constraint.expr());
+        assert_eq!(host.shadow.path.len(), 1);
+        let s = host
+            .shadow
+            .arena
+            .display(host.shadow.path[0].constraint.expr());
         assert!(s.contains("in0"), "condition must mention the input: {s}");
         assert!(s.contains("* 2"), "arithmetic must be recorded: {s}");
     }
@@ -538,8 +608,9 @@ mod tests {
             }
         "#;
         let (_, host) = run_symbolic(src, vec![b"p".to_vec(), b"5".to_vec()], &[1]);
-        assert!(host.concretization_ranges + host.concretization_pins >= 1);
+        assert!(host.shadow.concretization_ranges + host.shadow.concretization_pins >= 1);
         assert!(host
+            .shadow
             .path
             .iter()
             .any(|s| s.origin == StepOrigin::Concretization));
@@ -559,6 +630,7 @@ mod tests {
         // Two branch steps: the && (on c >= 'a') and the if (on the
         // boolified c <= 'z').
         let branch_steps = host
+            .shadow
             .path
             .iter()
             .filter(|s| matches!(s.origin, StepOrigin::Branch(_)))

@@ -19,8 +19,7 @@ use concolic::{
     SessionConfig,
 };
 use instrument::{
-    BugReport, DynLabel, EscalationHints, LiteralClusterHint, LogFormat, LoggingHost, Method, Plan,
-    PlanBuilder,
+    BugReport, DynLabel, LiteralClusterHint, LogFormat, LoggingHost, Method, Plan, PlanBuilder,
 };
 use minic::cost::Meter;
 use minic::vm::{RunOutcome, Vm};
@@ -34,15 +33,14 @@ use solver::ExprArena;
 use staticax::StaticConfig;
 
 /// Realizes an input spec under a solver assignment: concrete argv plus
-/// the kernel configuration carrying stdin/files/connection bytes.
+/// the kernel configuration carrying stdin/files/connection bytes. The
+/// variable ids come from the spec alone (no arena).
 fn realize_assignment(
     spec: &InputSpec,
     kernel: &KernelConfig,
     assignment: &[i64],
 ) -> (Vec<Vec<u8>>, KernelConfig) {
-    let mut arena = ExprArena::new();
-    let vars = InputVars::alloc(&mut arena, spec);
-    realize(spec, &vars, assignment, kernel)
+    realize(spec, &InputVars::layout(spec, 0), assignment, kernel)
 }
 
 /// Converts the concolic engine's labels to the instrumentation layer's.
@@ -254,20 +252,6 @@ impl Workbench {
             })
             .collect();
         instrument::escalate(parent, &report.hints(), &clusters)
-    }
-
-    /// [`escalate_plan`](Workbench::escalate_plan) from already-lowered
-    /// plan-side hints (the fleet-triage path, where reports from many
-    /// classes are merged before lowering).
-    pub fn escalate_plan_from_hints(&self, parent: &Plan, hints: &EscalationHints) -> Plan {
-        let clusters: Vec<LiteralClusterHint> = staticax::literal_clusters(&self.cp)
-            .into_iter()
-            .map(|c| LiteralClusterHint {
-                branches: c.branches,
-                literals: c.literals,
-            })
-            .collect();
-        instrument::escalate(parent, hints, &clusters)
     }
 
     fn realize_deployment(&self, parts: &InputParts) -> (Vec<Vec<u8>>, KernelConfig) {

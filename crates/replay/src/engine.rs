@@ -15,81 +15,27 @@
 //! generational order, per-branch quotas and drain restarts are available
 //! through [`search::SearchLimits::policy`].
 
-use crate::env::{realize_streams, ReplayEnv, SyscallMode};
+use crate::env::{ReplayEnv, SyscallMode};
 use crate::host::{
     ReplayHost, BRANCH_DIVERGENCE, CHECKPOINT_DIVERGENCE, CURSOR_OVERRUN, REACHED_CRASH_SITE,
     SYSCALL_DIVERGENCE,
 };
 use crate::reader::LogIndex;
-use concolic::{Concretization, InputSpec, InputVars, PathStep, StepOrigin};
+use concolic::{mark_argv_symbolic, realize_streams, InputSpec, InputVars, PathStep, StepOrigin};
 use instrument::{BugReport, Plan};
-use minic::memory::pack;
 use minic::vm::{RunOutcome, Vm};
 use minic::CompiledProgram;
 use oskit::SimFs;
 use search::driver::{self, End, GuidedEngine};
 use search::{
     seeded_assignment, Frontier, PrefixSigs, RepairTracker, SearchCounters, SearchLimits,
+    FUEL_PER_RUN, MAX_PENDING_LITS,
 };
 use solver::{
     ConstraintSet, ExprArena, FastMap, FastSet, Lit, Node, Op, PrefixCache, SolveCfg, VarId,
 };
 
 pub use crate::escalation::{EscalationReport, LocationEscalation};
-
-/// Budget for one reproduction attempt. `max_runs` is the deterministic
-/// stand-in for the paper's 1-hour replay timeout. The knob surface
-/// shared with `concolic::Budget` lives in [`search::SearchLimits`],
-/// embedded behind `Deref` so `budget.max_runs` and friends read and
-/// write exactly as before the unification; only the replay default
-/// (512 runs — a replay that stops short is useless) differs.
-#[derive(Debug, Clone)]
-pub struct ReplayBudget {
-    /// The shared search knobs (run cap, fuel, wall clock, frontier
-    /// caps, policy, workers, prefix cache).
-    pub limits: SearchLimits,
-    /// How symbolic address components are concretized (offset-
-    /// generalizing region bounds by default). Engine-specific: not
-    /// part of the shared limits.
-    pub concretization: Concretization,
-}
-
-impl Default for ReplayBudget {
-    fn default() -> Self {
-        ReplayBudget {
-            limits: SearchLimits::replay(),
-            concretization: Concretization::default(),
-        }
-    }
-}
-
-impl std::ops::Deref for ReplayBudget {
-    type Target = SearchLimits;
-    fn deref(&self) -> &SearchLimits {
-        &self.limits
-    }
-}
-
-impl std::ops::DerefMut for ReplayBudget {
-    fn deref_mut(&mut self) -> &mut SearchLimits {
-        &mut self.limits
-    }
-}
-
-impl From<SearchLimits> for ReplayBudget {
-    fn from(limits: SearchLimits) -> Self {
-        ReplayBudget {
-            limits,
-            ..ReplayBudget::default()
-        }
-    }
-}
-
-impl From<ReplayBudget> for SearchLimits {
-    fn from(b: ReplayBudget) -> Self {
-        b.limits
-    }
-}
 
 /// Configuration of a reproduction attempt.
 #[derive(Debug, Clone)]
@@ -99,8 +45,9 @@ pub struct ReplayConfig {
     pub spec: InputSpec,
     /// Replica of the deployment filesystem (concrete parts).
     pub base_fs: SimFs,
-    /// Search budget.
-    pub budget: ReplayBudget,
+    /// Search budget. `max_runs` is the deterministic stand-in for the
+    /// paper's 1-hour replay timeout.
+    pub budget: SearchLimits,
     /// Solver configuration.
     pub solve: SolveCfg,
     /// Seed for the initial candidate input.
@@ -118,7 +65,7 @@ impl ReplayConfig {
         ReplayConfig {
             spec,
             base_fs: SimFs::new(),
-            budget: ReplayBudget::default(),
+            budget: SearchLimits::replay(),
             solve: SolveCfg::default(),
             seed: 11,
             initial_hint: None,
@@ -281,7 +228,7 @@ impl<'p> ReplayEngine<'p> {
         };
         let finish = driver::drive(
             &mut session,
-            &self.cfg.budget.limits,
+            &self.cfg.budget,
             self.cfg.seed,
             &self.cfg.solve,
             arena,
@@ -440,30 +387,21 @@ impl GuidedEngine for Session<'_, '_> {
         let argv = env.argv().to_vec();
         let mut host = ReplayHost::new(
             arena,
+            engine.cfg.budget.concretization,
             env,
             &engine.plan,
             self.index.reader(),
             vars,
-            engine.report.crash.loc,
         );
-        host.concretization = engine.cfg.budget.concretization;
         if engine.plan.checkpoints {
             host.checkpoints = &engine.report.checkpoints;
         }
         let mut vm = Vm::new(engine.cp, host);
-        vm.fuel = engine.cfg.budget.fuel_per_run;
+        vm.fuel = FUEL_PER_RUN;
         vm.watch_loc = Some(engine.report.crash.loc);
         vm.prepare(&argv);
-        // Mark symbolic argv bytes.
-        let objs: Vec<_> = vm.argv_objects().to_vec();
-        for (ai, arg_vars) in vars.argv.iter().enumerate() {
-            for (bi, vid) in arg_vars.iter().enumerate() {
-                let e = vm.host.arena.var_expr(*vid);
-                vm.mem
-                    .set_shadow(pack(objs[ai], bi as u32), Some(e))
-                    .expect("argv bytes exist");
-            }
-        }
+        let objs = vm.argv_objects().to_vec();
+        mark_argv_symbolic(&mut vm.mem, &objs, vars, &mut vm.host.shadow.arena);
         let outcome = vm.resume();
         let instrs = vm.meter.instrs;
         let units = vm.meter.units;
@@ -477,11 +415,12 @@ impl GuidedEngine for Session<'_, '_> {
                 host.stats.reconstructed_bits,
                 host.stats.sym_logged_execs,
                 host.stats.sym_unlogged_execs,
-                host.path.len(),
+                host.shadow.path.len(),
                 host.stats.divergent_branch,
                 host.log.positions(),
             )
         });
+        let shadow = host.shadow;
         (
             RunArtifacts {
                 outcome,
@@ -490,10 +429,12 @@ impl GuidedEngine for Session<'_, '_> {
                 units,
                 log_exhausted,
                 stats: host.stats,
-                path: host.path,
+                path: shadow.path,
+                concretization_ranges: shadow.concretization_ranges,
+                concretization_pins: shadow.concretization_pins,
                 trace,
             },
-            host.arena,
+            shadow.arena,
         )
     }
 
@@ -510,8 +451,8 @@ impl GuidedEngine for Session<'_, '_> {
             .extend(run.stats.consulted.iter().copied());
         self.total_instrs += run.instrs;
         self.total_units += run.units;
-        self.concretization_ranges += run.stats.concretization_ranges;
-        self.concretization_pins += run.stats.concretization_pins;
+        self.concretization_ranges += run.concretization_ranges;
+        self.concretization_pins += run.concretization_pins;
     }
 
     /// Did this run reproduce the reported bug?
@@ -590,9 +531,7 @@ impl GuidedEngine for Session<'_, '_> {
             // candidate into a 2(b) divergence at that spot.
             let unlogged_sym = |i: usize| {
                 path[i].as_branch().filter(|&(b, lit)| {
-                    i < engine.cfg.budget.max_pending_lits
-                        && !engine.plan.covers(b)
-                        && !arena.is_concrete(lit.expr)
+                    i < MAX_PENDING_LITS && !engine.plan.covers(b) && !arena.is_concrete(lit.expr)
                 })
             };
             let offer_flip = |frontier: &mut Frontier, d: usize, lit: Lit| {
@@ -813,6 +752,8 @@ struct RunArtifacts {
     log_exhausted: bool,
     stats: crate::host::ReplayRunStats,
     path: Vec<PathStep>,
+    concretization_ranges: u64,
+    concretization_pins: u64,
     /// The `RETRACE_REPLAY_TRACE` line, printed when the run commits.
     trace: Option<String>,
 }

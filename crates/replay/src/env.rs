@@ -16,61 +16,14 @@
 //! against a candidate filesystem directly — their results are functions
 //! of the input, not non-determinism.
 
-use concolic::{InputSpec, InputVars};
+use concolic::Streams;
 use instrument::{SysRecord, SyscallLog};
 use minic::types::Sys;
 use oskit::{errno, SimFs, StreamSource};
-use solver::VarId;
-use std::collections::HashMap;
 
 /// Result of a nondeterminism-returning call: the concrete value plus,
 /// in modeled mode, the `(model_index, lo, hi)` of its model variable.
 pub type ModeledResult = Result<(i64, Option<(usize, i64, i64)>), SyscallDivergence>;
-
-/// Concrete candidate input streams realized from a solver assignment.
-#[derive(Debug, Clone, Default)]
-pub struct Streams {
-    /// argv strings (argv\[0\] included).
-    pub argv: Vec<Vec<u8>>,
-    /// stdin bytes.
-    pub stdin: Vec<u8>,
-    /// File contents keyed by normalized path.
-    pub files: HashMap<Vec<u8>, Vec<u8>>,
-    /// Per-connection byte streams (packets flattened: pacing comes from
-    /// the log or the models, not from the candidate).
-    pub conns: Vec<Vec<u8>>,
-}
-
-/// Builds candidate streams from an assignment (replay-side counterpart
-/// of `concolic::realize`).
-pub fn realize_streams(spec: &InputSpec, vars: &InputVars, assignment: &[i64]) -> Streams {
-    let byte = |v: &VarId| (assignment.get(v.0 as usize).copied().unwrap_or(0) & 0xff) as u8;
-    let mut argv = Vec::new();
-    for (i, a) in spec.argv.iter().enumerate() {
-        match a {
-            concolic::ArgSpec::Fixed(bytes) => argv.push(bytes.clone()),
-            concolic::ArgSpec::Symbolic(n) => {
-                argv.push((0..*n).map(|j| byte(&vars.argv[i][j])).collect())
-            }
-        }
-    }
-    let stdin = vars.stdin.iter().map(&byte).collect();
-    let mut files = HashMap::new();
-    for (path, fvars) in &vars.files {
-        files.insert(path.clone(), fvars.iter().map(&byte).collect());
-    }
-    let conns = vars
-        .clients
-        .iter()
-        .map(|c| c.iter().map(&byte).collect())
-        .collect();
-    Streams {
-        argv,
-        stdin,
-        files,
-        conns,
-    }
-}
 
 /// How syscall non-determinism is resolved.
 #[derive(Debug, Clone)]
@@ -156,19 +109,7 @@ impl ReplayEnv {
         nondet_assign: Vec<i64>,
     ) -> Self {
         let mut fs = base_fs;
-        for (path, content) in &streams.files {
-            let p = String::from_utf8_lossy(path).to_string();
-            // Ensure parents exist for candidate files.
-            let mut acc = String::new();
-            for comp in p.split('/').filter(|c| !c.is_empty()) {
-                acc.push('/');
-                acc.push_str(comp);
-                if acc != p {
-                    fs.install_dir(&acc);
-                }
-            }
-            fs.install_file(&p, content.clone());
-        }
+        streams.install_files(&mut fs);
         ReplayEnv {
             streams,
             fs,
@@ -512,16 +453,6 @@ impl ReplayEnv {
         }
     }
 
-    /// Number of model events allocated so far.
-    pub fn nondet_events(&self) -> usize {
-        self.nondet_seq
-    }
-
-    /// Logged records consumed.
-    pub fn log_consumed(&self) -> usize {
-        self.log_pos
-    }
-
     /// True when the syscall log (if any) has been fully consumed.
     pub fn log_exhausted(&self) -> bool {
         match &self.mode {
@@ -544,6 +475,7 @@ fn normalize(path: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     fn streams_with_conn(bytes: &[u8]) -> Streams {
         Streams {

@@ -1,8 +1,9 @@
 //! The replay host: log-guided symbolic execution (§3.1).
 //!
-//! A concolic host (like the analysis engine's) that additionally follows
-//! the shipped branch log. At every executed branch the four cases of
-//! §3.1 apply:
+//! The concolic [`Shadow`] — the same symbolic semantics of every VM
+//! operation the analysis host runs — plus what §3.1 adds: the shipped
+//! branch log, the replayed syscall environment, and at every executed
+//! branch the four cases of §3.1:
 //!
 //! 1. **symbolic, not instrumented** — record the constraint, keep going
 //!    (the engine may later negate it: pending set);
@@ -22,10 +23,7 @@
 
 use crate::env::{ReplayEnv, SyscallDivergence};
 use crate::reader::LogReader;
-use concolic::{
-    concretization_step, map_binop, map_unop, Concretization, InputVars, PathStep, PtrComponent,
-    SymV,
-};
+use concolic::{Concretization, InputVars, PathStep, Shadow, SymV};
 use instrument::Plan;
 use minic::ast::{BinOp, UnOp};
 use minic::cost::Meter;
@@ -33,7 +31,7 @@ use minic::memory::Memory;
 use minic::types::Sys;
 use minic::vm::{CrashKind, Host, HostStop, PtrRegion};
 use minic::{BranchId, Loc};
-use solver::{Constraint, ExprArena, ExprRef, Op, VarId, VarInfo};
+use solver::{ExprArena, ExprRef, VarId, VarInfo};
 use std::collections::BTreeSet;
 
 /// Host abort reason marking successful arrival at the crash site.
@@ -95,10 +93,6 @@ pub struct ReplayRunStats {
     pub divergent_cursor: Option<(u32, u64)>,
     /// Whether the run aborted on a per-location stream overrun.
     pub cursor_overrun: bool,
-    /// Concretizations emitted as offset-generalizing ranges this run.
-    pub concretization_ranges: u64,
-    /// Concretizations pinned at emission this run.
-    pub concretization_pins: u64,
     /// Suppressed-branch executions whose recorded bit was reconstructed
     /// from the implying branch's outcome instead of the shipped log
     /// (deployment paid nothing for these).
@@ -117,8 +111,9 @@ pub struct ReplayRunStats {
 /// reads (the plan, the indexed log, the input variables and the
 /// checkpoints) and owns what one run mutates.
 pub struct ReplayHost<'s> {
-    /// Expression arena (session-wide).
-    pub arena: ExprArena,
+    /// The run's symbolic state (arena, uncapped path, concretization
+    /// tallies).
+    pub shadow: Shadow,
     /// The developer-site environment.
     pub env: ReplayEnv,
     /// The instrumentation plan (retained by the developer).
@@ -128,16 +123,10 @@ pub struct ReplayHost<'s> {
     pub log: LogReader<'s>,
     /// Input variable tables.
     pub vars: &'s InputVars,
-    /// Path condition of this run.
-    pub path: Vec<PathStep>,
     /// Captured stdout.
     pub stdout: Vec<u8>,
     /// Run statistics.
     pub stats: ReplayRunStats,
-    /// How symbolic address components are concretized.
-    pub concretization: Concretization,
-    /// The crash site to reach.
-    pub crash_loc: Loc,
     /// Most recent outcome of every executed branch location this run —
     /// the source the implication reconstruction reads from when a
     /// suppressed branch executes.
@@ -152,37 +141,27 @@ pub struct ReplayHost<'s> {
 }
 
 impl<'s> ReplayHost<'s> {
-    /// Creates a replay host for one run.
+    /// Creates a replay host for one run. Its path is uncapped.
     pub fn new(
         arena: ExprArena,
+        concretization: Concretization,
         env: ReplayEnv,
         plan: &'s Plan,
         log: LogReader<'s>,
         vars: &'s InputVars,
-        crash_loc: Loc,
     ) -> Self {
         let last_taken = vec![None; plan.instrumented.len()];
         ReplayHost {
-            arena,
+            shadow: Shadow::new(arena, concretization, None),
             env,
             plan,
             log,
             vars,
-            path: Vec::new(),
             stdout: Vec::new(),
             stats: ReplayRunStats::default(),
-            concretization: Concretization::default(),
-            crash_loc,
             last_taken,
             checkpoints: &[],
             logged_syscalls: 0,
-        }
-    }
-
-    fn lift(&mut self, v: i64, s: &SymV) -> ExprRef {
-        match s {
-            Some(e) => *e,
-            None => self.arena.constant(v),
         }
     }
 
@@ -225,10 +204,11 @@ impl<'s> ReplayHost<'s> {
     /// gives the variables cross-run identity).
     fn model_var(&mut self, k: usize, lo: i64, hi: i64) -> ExprRef {
         let idx = self.vars.n_controllable as usize + k;
-        while self.arena.n_vars() <= idx {
-            self.arena.fresh_var(VarInfo::range(lo, hi));
+        let arena = &mut self.shadow.arena;
+        while arena.n_vars() <= idx {
+            arena.fresh_var(VarInfo::range(lo, hi));
         }
-        self.arena.var_expr(VarId(idx as u32))
+        arena.var_expr(VarId(idx as u32))
     }
 
     fn divergence(&self) -> HostStop {
@@ -272,27 +252,19 @@ impl Host for ReplayHost<'_> {
     type V = SymV;
 
     fn shadow_binop(&mut self, op: BinOp, a: (i64, &SymV), b: (i64, &SymV), _out: i64) -> SymV {
-        if a.1.is_none() && b.1.is_none() {
-            return None;
-        }
-        let ea = self.lift(a.0, a.1);
-        let eb = self.lift(b.0, b.1);
-        Some(self.arena.bin(map_binop(op), ea, eb))
+        self.shadow.binop(op, a, b)
     }
 
     fn shadow_unop(&mut self, op: UnOp, a: (i64, &SymV), _out: i64) -> SymV {
-        let e = (*a.1)?;
-        Some(self.arena.un(map_unop(op), e))
+        self.shadow.unop(op, a)
     }
 
     fn shadow_mask_char(&mut self, a: (i64, &SymV), _out: i64) -> SymV {
-        let e = (*a.1)?;
-        Some(self.arena.mask_char(e))
+        self.shadow.mask_char(a)
     }
 
     fn shadow_bool(&mut self, a: (i64, &SymV), _out: i64) -> SymV {
-        let e = (*a.1)?;
-        Some(self.arena.boolify(e))
+        self.shadow.boolify(a)
     }
 
     fn shadow_ptr_add(
@@ -303,30 +275,7 @@ impl Host for ReplayHost<'_> {
         _out: i64,
         region: Option<PtrRegion>,
     ) -> SymV {
-        for (component, (val, sh), other) in [
-            (PtrComponent::Base, ptr, idx.0),
-            (PtrComponent::Index, idx, ptr.0),
-        ] {
-            if let Some(e) = sh {
-                let step = concretization_step(
-                    &mut self.arena,
-                    self.concretization,
-                    *e,
-                    val,
-                    component,
-                    stride,
-                    other,
-                    region,
-                );
-                if matches!(step.constraint, Constraint::Range(_)) {
-                    self.stats.concretization_ranges += 1;
-                } else {
-                    self.stats.concretization_pins += 1;
-                }
-                self.path.push(step);
-            }
-        }
-        None
+        self.shadow.ptr_add(ptr, idx, stride, region)
     }
 
     fn shadow_ptr_diff(
@@ -336,14 +285,7 @@ impl Host for ReplayHost<'_> {
         stride: u32,
         _out: i64,
     ) -> SymV {
-        if a.1.is_none() && b.1.is_none() {
-            return None;
-        }
-        let ea = self.lift(a.0, a.1);
-        let eb = self.lift(b.0, b.1);
-        let diff = self.arena.bin(Op::Sub, ea, eb);
-        let s = self.arena.constant(stride.max(1) as i64);
-        Some(self.arena.bin(Op::Div, diff, s))
+        self.shadow.ptr_diff(a, b, stride)
     }
 
     fn on_branch(
@@ -381,7 +323,7 @@ impl Host for ReplayHost<'_> {
                 // symbolic condition still joins the path condition so
                 // candidate inputs keep satisfying it.
                 if let Some(e) = cond.1 {
-                    self.path.push(PathStep::branch(bid, *e, taken));
+                    self.shadow.push(PathStep::branch(bid, *e, taken));
                 }
                 return Ok(0);
             }
@@ -391,7 +333,7 @@ impl Host for ReplayHost<'_> {
             // machinery has nothing to key on here.
             self.stats.divergent_branch = Some((bid.0, cond.1.is_some()));
             if let Some(e) = cond.1 {
-                self.path.push(PathStep::branch(bid, *e, implied));
+                self.shadow.push(PathStep::branch(bid, *e, implied));
                 self.stats.forced_abort = true;
             }
             return Err(self.divergence());
@@ -404,7 +346,7 @@ impl Host for ReplayHost<'_> {
             (true, false) => {
                 self.stats.sym_unlogged_execs += 1;
                 let e = cond.1.expect("symbolic condition has a shadow");
-                self.path.push(PathStep::branch(bid, e, taken));
+                self.shadow.push(PathStep::branch(bid, e, taken));
                 Ok(0)
             }
             // Case 2: symbolic, instrumented.
@@ -425,19 +367,19 @@ impl Host for ReplayHost<'_> {
                             self.note_divergence(bid, true, false);
                             return Err(HostStop::Abort(CURSOR_OVERRUN.to_string()));
                         }
-                        self.path.push(PathStep::branch(bid, e, taken));
+                        self.shadow.push(PathStep::branch(bid, e, taken));
                         Ok(0)
                     }
                     Some(recorded) if recorded == taken => {
                         // Case 2(a): agreement.
-                        self.path.push(PathStep::branch(bid, e, taken));
+                        self.shadow.push(PathStep::branch(bid, e, taken));
                         Ok(0)
                     }
                     Some(recorded) => {
                         // Case 2(b): mismatch — append the constraint
                         // forcing the *recorded* direction and abort; the
                         // engine queues this path as a pending set.
-                        self.path.push(PathStep::branch(bid, e, recorded));
+                        self.shadow.push(PathStep::branch(bid, e, recorded));
                         self.stats.forced_abort = true;
                         self.note_divergence(bid, true, true);
                         Err(self.divergence())
@@ -500,7 +442,7 @@ impl Host for ReplayHost<'_> {
                         let shadow: SymV = self
                             .vars
                             .var_for(kind, start + i)
-                            .map(|vid| self.arena.var_expr(vid));
+                            .map(|vid| self.shadow.arena.var_expr(vid));
                         mem.store(a(1).wrapping_add(i as i64), *b as i64, shadow)
                             .map_err(mem_fault)?;
                     }

@@ -34,8 +34,9 @@ pub mod host;
 pub mod reader;
 pub mod stats;
 
-pub use engine::{ReplayBudget, ReplayConfig, ReplayEngine, ReplayResult};
-pub use env::{realize_streams, ReplayEnv, Streams, SyscallMode};
+pub use concolic::{realize_streams, Streams};
+pub use engine::{ReplayConfig, ReplayEngine, ReplayResult};
+pub use env::{ReplayEnv, SyscallMode};
 pub use escalation::{EscalationReport, LocationEscalation};
 pub use host::{
     ReplayHost, ReplayRunStats, BRANCH_DIVERGENCE, CHECKPOINT_DIVERGENCE, CURSOR_OVERRUN,
@@ -49,12 +50,18 @@ mod e2e {
     //! End-to-end record→ship→replay tests over small programs.
 
     use crate::engine::{ReplayConfig, ReplayEngine};
+    use crate::env::{ReplayEnv, SyscallMode};
+    use crate::host::ReplayHost;
+    use crate::reader::LogIndex;
     use crate::stats::{assignment_from_input, InputParts};
-    use concolic::{realize, BranchLabel, Engine, InputSpec, InputVars, SessionConfig};
-    use instrument::{BugReport, DynLabel, LoggingHost, Method, Plan};
+    use concolic::{
+        mark_argv_symbolic, realize, realize_streams, BranchLabel, Concretization, Engine,
+        InputSpec, InputVars, PathStep, SessionConfig,
+    };
+    use instrument::{BranchTrace, BugReport, DynLabel, LoggingHost, Method, Plan, TraceLog};
     use minic::vm::Vm;
     use minic::{build, CompiledProgram};
-    use oskit::{Kernel, KernelConfig};
+    use oskit::{Kernel, KernelConfig, SimFs};
     use proptest::prelude::*;
     use solver::ExprArena;
 
@@ -1235,6 +1242,38 @@ mod e2e {
         assert_eq!(r.6, r.7, "popped != committed + restored");
     }
 
+    /// A program that crashes when `argv[1]` spells `magic`. With
+    /// `table`, the first input byte also indexes a local table, so a
+    /// pointer addition concretizes.
+    fn magic_string_program(magic: &[u8], table: bool) -> String {
+        let lit: String = magic
+            .iter()
+            .map(|&b| match b {
+                b'"' | b'\\' => format!("\\{}", b as char),
+                _ => (b as char).to_string(),
+            })
+            .collect();
+        let lookup = if table {
+            " int t[8]; for (int i = 0; i < 8; i++) { t[i] = i; } if (t[s[0] & 7] > 3) { ok = 0; }"
+        } else {
+            ""
+        };
+        format!(
+            r#"
+                int main(int argc, char **argv) {{
+                    char *s = argv[1];
+                    int ok = 1;{lookup}
+                    for (int i = 0; i < {n}; i++) {{
+                        if (s[i] != "{lit}"[i]) {{ ok = 0; }}
+                    }}
+                    if (ok) {{ int *p = 0; return *p; }}
+                    return 0;
+                }}
+                "#,
+            n = magic.len(),
+        )
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
         // Randomized magic-string programs under a PARTIAL plan (only
@@ -1247,22 +1286,7 @@ mod e2e {
         fn replay_worker_invariance_holds_on_random_programs(
             magic in proptest::collection::vec(0x21u8..0x7f, 2..5),
         ) {
-            let src = format!(
-                r#"
-                int main(int argc, char **argv) {{
-                    char *s = argv[1];
-                    int ok = 1;
-                    for (int i = 0; i < {n}; i++) {{
-                        if (s[i] != "{lit}"[i]) {{ ok = 0; }}
-                    }}
-                    if (ok) {{ int *p = 0; return *p; }}
-                    return 0;
-                }}
-                "#,
-                n = magic.len(),
-                lit = magic.iter().map(|b| *b as char).collect::<String>(),
-            );
-            let cp = build(&[("main", &src)]).unwrap();
+            let cp = build(&[("main", &magic_string_program(&magic, false))]).unwrap();
             let spec = InputSpec::argv_symbolic("prog", 1, magic.len());
             let parts = InputParts {
                 argv_sym: vec![magic.clone()],
@@ -1308,6 +1332,73 @@ mod e2e {
                     &serial, &par,
                     "workers={} diverged from serial", workers
                 );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+        // Replay is the concolic run plus the log: under an empty plan
+        // (no instrumented branch, an empty flat trace, modeled syscalls,
+        // no watch location) the replay host's shadow must record
+        // exactly the analysis host's path, arena and concretization
+        // tallies for the same program and assignment.
+        #[test]
+        fn empty_plan_replay_records_the_analysis_path(
+            magic in proptest::collection::vec(0x21u8..0x7f, 2..5),
+            input in proptest::collection::vec(0x21u8..0x7f, 4),
+            hit in any::<bool>(),
+        ) {
+            let spec = InputSpec::argv_symbolic("prog", 1, magic.len());
+            let bytes = if hit { &magic[..] } else { &input[..magic.len()] };
+            let assignment: Vec<i64> = bytes.iter().map(|&b| i64::from(b)).collect();
+            for table in [false, true] {
+                let cp = build(&[("main", &magic_string_program(&magic, table))]).unwrap();
+                let engine = Engine::new(&cp, SessionConfig::new(spec.clone()));
+                let mut arena = ExprArena::new();
+                let vars = InputVars::alloc(&mut arena, &spec);
+                let (analysis, analysis_arena) = engine.run_once(arena, &vars, &assignment);
+
+                let mut arena = ExprArena::new();
+                let vars = InputVars::alloc(&mut arena, &spec);
+                let plan = Plan::none(cp.n_branches());
+                let trace = TraceLog::Flat(BranchTrace::default());
+                let index = LogIndex::new(&trace, cp.n_branches());
+                let streams = realize_streams(&spec, &vars, &assignment);
+                let env = ReplayEnv::new(streams, SimFs::new(), SyscallMode::Modeled, Vec::new());
+                let argv = env.argv().to_vec();
+                let host = ReplayHost::new(
+                    arena,
+                    Concretization::default(),
+                    env,
+                    &plan,
+                    index.reader(),
+                    &vars,
+                );
+                let mut vm = Vm::new(&cp, host);
+                vm.fuel = search::FUEL_PER_RUN;
+                vm.prepare(&argv);
+                let objs = vm.argv_objects().to_vec();
+                mark_argv_symbolic(&mut vm.mem, &objs, &vars, &mut vm.host.shadow.arena);
+                vm.resume();
+                let replayed = vm.host.shadow;
+
+                let steps = |path: &[PathStep]| {
+                    path.iter()
+                        .map(|s| (s.constraint, s.origin, s.taken))
+                        .collect::<Vec<_>>()
+                };
+                prop_assert!(!analysis.path.is_empty(), "the input must be symbolic");
+                prop_assert_eq!(steps(&analysis.path), steps(&replayed.path));
+                prop_assert_eq!(analysis_arena.len(), replayed.arena.len());
+                let tallies = (analysis.concretization_ranges, analysis.concretization_pins);
+                prop_assert_eq!(
+                    tallies,
+                    (replayed.concretization_ranges, replayed.concretization_pins)
+                );
+                if table {
+                    prop_assert!(tallies.0 + tallies.1 >= 1, "the table index concretizes");
+                }
             }
         }
     }

@@ -109,9 +109,12 @@ pub fn assignment_from_input(spec: &InputSpec, parts: &InputParts) -> Vec<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use concolic::ArgSpec;
+    use concolic::{realize, realize_streams, ArgSpec, ClientSpec, FileSpec, InputVars, Streams};
     use instrument::Method;
     use minic::BranchId;
+    use oskit::{KernelConfig, StreamSource};
+    use proptest::prelude::*;
+    use solver::{ExprArena, VarId, VarInfo};
 
     #[test]
     fn splits_profile_by_plan() {
@@ -187,5 +190,129 @@ mod tests {
         };
         let b = assignment_from_input(&spec, &short);
         assert_eq!(b, vec![b'x' as i64, 0, 0, 0]);
+    }
+
+    /// Builds a spec from drawn shapes: argv arguments (symbolic or
+    /// fixed, by length), stdin, files at absolute or relative paths,
+    /// and clients with several packets.
+    fn drawn_spec(
+        argv: &[(bool, usize)],
+        stdin_len: usize,
+        files: &[(bool, usize)],
+        clients: &[(Vec<usize>, bool)],
+    ) -> InputSpec {
+        InputSpec {
+            argv: argv
+                .iter()
+                .map(|&(symbolic, len)| match symbolic {
+                    true => ArgSpec::Symbolic(len),
+                    false => ArgSpec::Fixed(vec![b'f'; len]),
+                })
+                .collect(),
+            stdin_len,
+            files: files
+                .iter()
+                .enumerate()
+                .map(|(i, &(absolute, len))| FileSpec {
+                    path: format!("{}d{i}/f{i}", if absolute { "/" } else { "" }),
+                    len,
+                })
+                .collect(),
+            clients: clients
+                .iter()
+                .map(|(packet_lens, close_after)| ClientSpec {
+                    packet_lens: packet_lens.clone(),
+                    close_after: *close_after,
+                })
+                .collect(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        // One input layout: the arena-free ids are `alloc`'s, every
+        // realized byte is its variable's value masked to a byte (0 past
+        // the assignment's end) under both walks, and flattening the
+        // realized input gives back the assignment's controllable prefix.
+        #[test]
+        fn one_input_layout_for_alloc_realize_and_assignment(
+            argv in collection::vec((any::<bool>(), 0usize..4), 0..4),
+            stdin_len in 0usize..4,
+            files in collection::vec((any::<bool>(), 0usize..4), 0..3),
+            clients in collection::vec((collection::vec(0usize..4, 1..4), any::<bool>()), 0..3),
+            values in collection::vec(any::<i64>(), 0..40),
+        ) {
+            let spec = drawn_spec(&argv, stdin_len, &files, &clients);
+            let n = spec.n_symbolic_bytes();
+            for first in [0, 3] {
+                let mut arena = ExprArena::new();
+                for _ in 0..first {
+                    arena.fresh_var(VarInfo::byte());
+                }
+                prop_assert_eq!(
+                    InputVars::layout(&spec, first as u32),
+                    InputVars::alloc(&mut arena, &spec)
+                );
+                prop_assert_eq!(arena.n_vars(), first + n);
+            }
+            let vars = InputVars::layout(&spec, 0);
+            let byte = |v: VarId| (values.get(v.0 as usize).copied().unwrap_or(0) & 0xff) as u8;
+            let stream_bytes = |source: StreamSource, len: usize| {
+                (0..len)
+                    .map(|k| byte(vars.var_for(&source, k).expect("declared byte")))
+                    .collect::<Vec<u8>>()
+            };
+            let (kernel_argv, cfg) = realize(&spec, &vars, &values, &KernelConfig::default());
+            let streams = realize_streams(&spec, &vars, &values);
+            prop_assert_eq!(&kernel_argv, &streams.argv);
+            for (i, arg) in spec.argv.iter().enumerate() {
+                let expected = match arg {
+                    ArgSpec::Fixed(fixed) => fixed.clone(),
+                    ArgSpec::Symbolic(_) => vars.argv[i].iter().map(|&v| byte(v)).collect(),
+                };
+                prop_assert_eq!(&streams.argv[i], &expected);
+            }
+            let stdin = stream_bytes(StreamSource::Stdin, spec.stdin_len);
+            prop_assert_eq!(&cfg.stdin, &stdin);
+            prop_assert_eq!(&streams.stdin, &stdin);
+            for f in &spec.files {
+                let path = format!("/{}", f.path.trim_start_matches('/')).into_bytes();
+                let content = stream_bytes(StreamSource::File(path.clone()), f.len);
+                prop_assert_eq!(&cfg.fs.open_read(&path).expect("installed"), &content);
+                prop_assert_eq!(&streams.files[&path], &content);
+            }
+            for (ci, c) in spec.clients.iter().enumerate() {
+                let total = c.packet_lens.iter().sum();
+                let conn = stream_bytes(StreamSource::Conn(ci), total);
+                let script = &cfg.clients[ci];
+                let lens: Vec<usize> = script.packets.iter().map(Vec::len).collect();
+                prop_assert_eq!(&lens, &c.packet_lens);
+                prop_assert_eq!(&script.packets.concat(), &conn);
+                prop_assert_eq!(script.close_after, c.close_after);
+                prop_assert_eq!(&streams.conns[ci], &conn);
+            }
+
+            let bytes: Vec<i64> = values.iter().map(|v| v & 0xff).collect();
+            let Streams { argv, stdin, files, conns } = realize_streams(&spec, &vars, &bytes);
+            let parts = InputParts {
+                argv_sym: spec
+                    .argv
+                    .iter()
+                    .zip(argv)
+                    .filter(|(a, _)| matches!(a, ArgSpec::Symbolic(_)))
+                    .map(|(_, arg)| arg)
+                    .collect(),
+                stdin,
+                files: spec
+                    .files
+                    .iter()
+                    .map(|f| files[format!("/{}", f.path.trim_start_matches('/')).as_bytes()].clone())
+                    .collect(),
+                conns,
+            };
+            let mut prefix = bytes;
+            prefix.resize(n, 0);
+            prop_assert_eq!(assignment_from_input(&spec, &parts), prefix);
+        }
     }
 }

@@ -19,7 +19,7 @@
 //! are fixed by commit index. Results are therefore identical for every
 //! worker count.
 
-use crate::{pool, Frontier, FrontierStats, PendingSet, SearchLimits};
+use crate::{pool, Frontier, FrontierStats, PendingSet, SearchLimits, MAX_PENDING_LITS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use solver::{mix_seed, ExprArena, PrefixCache, SolveCfg, SolveStats};
@@ -159,7 +159,7 @@ pub fn drive<E: GuidedEngine>(
     let mut frontier = Frontier::new(
         limits.policy.clone(),
         limits.max_pendings_per_run,
-        limits.max_pending_lits,
+        MAX_PENDING_LITS,
     );
     let mut cache = PrefixCache::new();
     let mut counters = SearchCounters::default();

@@ -53,7 +53,7 @@ pub mod limits;
 pub mod pool;
 
 pub use driver::{seeded_assignment, SearchCounters};
-pub use limits::SearchLimits;
+pub use limits::{Concretization, SearchLimits, FUEL_PER_RUN, MAX_PENDING_LITS};
 
 /// Frontier exploration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

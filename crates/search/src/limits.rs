@@ -1,33 +1,46 @@
-//! The shared search-budget surface.
+//! The one search budget.
 //!
-//! `concolic::Budget` and `replay::ReplayBudget` grew the same knobs
-//! field by field — run caps, per-run fuel, wall clock, frontier caps,
-//! scheduling policy, worker count, prefix cache — as copy-pasted
-//! definitions that drifted only in their defaults. [`SearchLimits`]
-//! is the single definition both embed (via `Deref`, so every
-//! `budget.max_runs` read and write keeps compiling unchanged); the
-//! engine-specific budgets keep only what is genuinely theirs (the
-//! concretization mode).
+//! The concolic analysis and the log-guided replay run the same guided
+//! search, so they take the same knobs: run cap, wall clock, frontier
+//! caps, scheduling policy, worker count, prefix cache and the
+//! concretization mode of their shared shadow. [`SearchLimits`] is that
+//! budget; the two engines differ only in its defaults
+//! ([`SearchLimits::analysis`], [`SearchLimits::replay`]). The per-run
+//! fuel and the pending-set depth cap are constants, since no session
+//! varies them.
 
 use crate::SearchPolicy;
 
-/// The knobs shared by every frontier-driven search session, whether
-/// the concolic analysis engine or the log-guided replay engine drives
-/// it. Embedded by `concolic::Budget` and `replay::ReplayBudget`.
+/// Instruction budget of one run, in both engines.
+pub const FUEL_PER_RUN: u64 = 20_000_000;
+
+/// Pending sets longer than this many literals are skipped (too deep to
+/// solve within interactive budgets).
+pub const MAX_PENDING_LITS: usize = 4000;
+
+/// How symbolic address components are concretized.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Concretization {
+    /// The classic CUTE-style equality pin (`expr == observed`).
+    Pin,
+    /// Offset-generalizing: bound the component to the values that keep
+    /// the access inside the object's region, falling back to the pin
+    /// when no region is known.
+    #[default]
+    RegionBounds,
+}
+
+/// The budget of one frontier-driven search session, whether the
+/// concolic analysis engine or the log-guided replay engine drives it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchLimits {
     /// Maximum runs (path explorations / replay candidates).
     pub max_runs: usize,
-    /// Instruction budget per run.
-    pub fuel_per_run: u64,
     /// Optional wall-clock cap in milliseconds (0 = none).
     pub max_wall_ms: u64,
     /// Pending constraint sets scheduled per run. Bounds the
     /// otherwise-quadratic prefix copying on long paths.
     pub max_pendings_per_run: usize,
-    /// Pending sets longer than this many literals are skipped (too
-    /// deep to solve within interactive budgets).
-    pub max_pending_lits: usize,
     /// Frontier scheduling policy (strategy, per-branch quotas, drain
     /// restarts, forced-set repair).
     pub policy: SearchPolicy,
@@ -39,6 +52,10 @@ pub struct SearchLimits {
     /// Path-prefix solve cache over the frozen arena generations.
     /// Outcome-identical; only changes wall time.
     pub prefix_cache: bool,
+    /// How symbolic address components are concretized (offset-
+    /// generalizing region bounds by default; `Pin` restores the classic
+    /// equality-pin behavior).
+    pub concretization: Concretization,
 }
 
 impl SearchLimits {
@@ -47,13 +64,12 @@ impl SearchLimits {
     pub fn analysis() -> Self {
         SearchLimits {
             max_runs: 64,
-            fuel_per_run: 20_000_000,
             max_wall_ms: 0,
             max_pendings_per_run: 64,
-            max_pending_lits: 4000,
             policy: SearchPolicy::default(),
             workers: 1,
             prefix_cache: true,
+            concretization: Concretization::default(),
         }
     }
 
