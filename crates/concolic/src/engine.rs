@@ -22,7 +22,7 @@ use minic::CompiledProgram;
 use oskit::{Kernel, KernelConfig};
 use search::driver::{self, End, GuidedEngine};
 use search::{seeded_assignment, Frontier, PrefixSigs, SearchCounters, SearchLimits, FUEL_PER_RUN};
-use solver::{Constraint, ExprArena, FastMap, PrefixCache, SolveCfg, VarId};
+use solver::{Constraint, ExprArena, FastMap, PrefixCache, VarId};
 
 /// Full configuration of one analysis session.
 #[derive(Debug, Clone)]
@@ -31,13 +31,11 @@ pub struct SessionConfig {
     pub spec: InputSpec,
     /// Base kernel configuration (seed, signal plan, concrete files...).
     pub kernel: KernelConfig,
-    /// Exploration budget. `max_runs` is the primary (deterministic)
-    /// knob — the LC/HC axis of the paper; the others are safety caps.
+    /// Exploration budget. `max_runs` is the deterministic stand-in for
+    /// the paper's wall-clock budgets — the LC/HC axis.
     pub budget: SearchLimits,
     /// Seed for the initial input and the solver.
     pub seed: u64,
-    /// Solver configuration.
-    pub solve: SolveCfg,
 }
 
 impl SessionConfig {
@@ -48,7 +46,6 @@ impl SessionConfig {
             kernel: KernelConfig::default(),
             budget: SearchLimits::analysis(),
             seed: 7,
-            solve: SolveCfg::default(),
         }
     }
 }
@@ -111,8 +108,6 @@ pub struct AnalysisResult {
     /// True when exploration stopped because the frontier drained with
     /// run budget left (and the policy did not restart).
     pub exhausted: bool,
-    /// True when the wall-clock cap expired (including mid-solve).
-    pub timed_out: bool,
 }
 
 impl std::ops::Deref for AnalysisResult {
@@ -211,7 +206,6 @@ impl<'p> Engine<'p> {
             &mut analysis,
             &self.cfg.budget,
             self.cfg.seed,
-            &self.cfg.solve,
             arena,
             self.initial_assignment(),
         );
@@ -225,7 +219,6 @@ impl<'p> Engine<'p> {
             concretization_ranges: analysis.concretization_ranges,
             concretization_pins: analysis.concretization_pins,
             exhausted: finish.end == End::Drained,
-            timed_out: finish.end == End::Wall,
         }
     }
 }
@@ -268,8 +261,8 @@ impl GuidedEngine for Analysis<'_, '_> {
     }
 
     /// Substitutes the run's nondeterminism into the path condition, then
-    /// offers negated branch literals in the strategy's order (caps,
-    /// quotas and dedup live in the frontier).
+    /// offers its negated branch literals (order, caps, quotas and dedup
+    /// live in the frontier).
     fn bank(
         &mut self,
         record: &RunRecord,
@@ -295,28 +288,12 @@ impl GuidedEngine for Analysis<'_, '_> {
         }
         let seed_controllables = &assignment[..self.vars.n_controllable as usize];
         frontier.begin_run();
-        let order = frontier.policy().strategy.offer_order(substituted.len());
-        for i in order {
-            if frontier.run_full() {
-                break;
+        frontier.offer_negations(&sigs, false, arena, seed_controllables, |i| {
+            match (record.path[i].origin, step(i)) {
+                (StepOrigin::Branch(bid), Constraint::Lit(lit)) => Some((bid.0, lit)),
+                _ => None,
             }
-            let (StepOrigin::Branch(bid), Constraint::Lit(lit)) = (record.path[i].origin, step(i))
-            else {
-                continue;
-            };
-            if !frontier.depth_ok(i + 1) {
-                continue;
-            }
-            // Skip conditions that no controllable input influences.
-            if arena.is_concrete(lit.expr) {
-                continue;
-            }
-            let neg = lit.negated();
-            let (sig, lits) = sigs.candidate(i, neg);
-            frontier.offer(sig, lits, Some(bid.0), || {
-                (sigs.build(i, &[neg]), seed_controllables.to_vec())
-            });
-        }
+        });
         frontier.end_run();
     }
 }
@@ -477,7 +454,6 @@ mod tests {
         "#;
         let r = analyze(src, InputSpec::argv_symbolic("p", 1, 1), 16);
         assert!(r.exhausted, "no symbolic branches: frontier drains");
-        assert!(!r.timed_out);
         assert_eq!(r.frontier.scheduled, 0);
     }
 
@@ -578,7 +554,6 @@ mod tests {
                 r.crashes.len(),
                 r.crashes.first().map(|c| c.argv.clone()),
                 r.exhausted,
-                r.timed_out,
                 (r.cache_hits, r.cache_misses, r.prefix_len_saved),
             )
         };
@@ -664,35 +639,6 @@ mod tests {
                 "workers={workers}: every committed solve is hit or miss"
             );
         }
-    }
-
-    #[test]
-    fn wall_timeout_is_reported_as_timeout() {
-        // A heavy concrete loop makes a single run take well over the
-        // 1 ms wall cap, so the expiry check after run 1 must fire —
-        // reported as a timeout, never as exhaustion, with most of the
-        // run budget unspent.
-        let src = r#"
-            int main(int argc, char **argv) {
-                char *s = argv[1];
-                int acc = 0;
-                for (int i = 0; i < 200000; i++) { acc = acc + i; }
-                if (s[0] > 'a') { acc++; }
-                return acc & 1;
-            }
-        "#;
-        let cp = build(&[("main", src)]).unwrap();
-        let mut cfg = SessionConfig::new(InputSpec::argv_symbolic("p", 1, 1));
-        cfg.budget.max_runs = 100_000;
-        cfg.budget.max_wall_ms = 1;
-        let r = Engine::new(&cp, cfg).analyze();
-        assert!(
-            r.timed_out,
-            "the 1 ms wall cap must expire: {} runs",
-            r.runs
-        );
-        assert!(!r.exhausted, "timeout is not exhaustion");
-        assert!(r.runs < 100_000, "the run budget was not the stopper");
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub use instrument::{escalate, EscalationHints, PlanBuilder};
 pub use metrics::{LocationRow, Overhead, ReplayRow, TriageRow};
 pub use pipeline::{to_dyn_labels, AnalysisBundle, LoggedRun, Workbench};
 pub use replay::{EscalationReport, LocationEscalation};
-pub use search::{ForcedSetRepair, FrontierStats, SearchLimits, SearchPolicy, Strategy};
+pub use search::{FrontierStats, SearchLimits, SearchPolicy, Strategy};
 // The one documented home of the golden-ratio seed-mixing helper (the
 // engines' per-call solver seeds and restart seeds all derive through
 // it).

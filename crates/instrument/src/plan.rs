@@ -305,16 +305,6 @@ impl Plan {
         self.instrumented.iter().filter(|b| **b).count()
     }
 
-    /// Ids of instrumented branch locations.
-    pub fn instrumented_branches(&self) -> Vec<BranchId> {
-        self.instrumented
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| **b)
-            .map(|(i, _)| BranchId(i as u32))
-            .collect()
-    }
-
     /// Disables syscall-result logging (the Table 5/8 configuration).
     pub fn without_syscall_logging(mut self) -> Plan {
         self.log_syscalls = false;

@@ -31,11 +31,15 @@ use search::{
     seeded_assignment, Frontier, PrefixSigs, RepairTracker, SearchCounters, SearchLimits,
     FUEL_PER_RUN, MAX_PENDING_LITS,
 };
-use solver::{
-    ConstraintSet, ExprArena, FastMap, FastSet, Lit, Node, Op, PrefixCache, SolveCfg, VarId,
-};
+use solver::{ConstraintSet, ExprArena, FastMap, FastSet, Lit, Node, Op, PrefixCache, VarId};
 
 pub use crate::escalation::{EscalationReport, LocationEscalation};
+
+/// Unlogged suspects a forced set keeps for repair: wider than the
+/// [`search::MAX_REPAIRS`] attempt budget, so duplicate
+/// (already-explored) flips can be walked past without exhausting the
+/// ladder.
+const SUSPECT_WINDOW: usize = 64;
 
 /// Configuration of a reproduction attempt.
 #[derive(Debug, Clone)]
@@ -48,8 +52,6 @@ pub struct ReplayConfig {
     /// Search budget. `max_runs` is the deterministic stand-in for the
     /// paper's 1-hour replay timeout.
     pub budget: SearchLimits,
-    /// Solver configuration.
-    pub solve: SolveCfg,
     /// Seed for the initial candidate input.
     pub seed: u64,
     /// Optional starting candidate (controllable assignment). Developers
@@ -66,7 +68,6 @@ impl ReplayConfig {
             spec,
             base_fs: SimFs::new(),
             budget: SearchLimits::replay(),
-            solve: SolveCfg::default(),
             seed: 11,
             initial_hint: None,
         }
@@ -93,7 +94,7 @@ pub struct ReplayResult {
     pub witness_argv: Option<Vec<Vec<u8>>>,
     /// The full reproducing assignment (inputs + model values).
     pub witness_assignment: Option<Vec<i64>>,
-    /// True if the run or wall budget ran out (the paper's ∞ entries).
+    /// True if the run budget ran out (the paper's ∞ entries).
     pub timed_out: bool,
     /// True if the frontier drained with budget left (and the policy did
     /// not restart) — a genuinely exhausted search, not a timeout.
@@ -180,7 +181,7 @@ impl<'p> ReplayEngine<'p> {
         attempt: usize,
         trace: bool,
     ) -> bool {
-        for s in info.ladder().skip(attempt) {
+        for &s in info.suspects.iter().skip(attempt) {
             let Some((_, lit)) = info.steps[s].as_branch() else {
                 continue;
             };
@@ -230,7 +231,6 @@ impl<'p> ReplayEngine<'p> {
             &mut session,
             &self.cfg.budget,
             self.cfg.seed,
-            &self.cfg.solve,
             arena,
             initial,
         );
@@ -244,7 +244,7 @@ impl<'p> ReplayEngine<'p> {
             wall_ms: start.elapsed().as_millis() as u64,
             witness_argv: reproduced.then_some(last.argv),
             witness_assignment: reproduced.then_some(finish.last_assignment),
-            timed_out: matches!(finish.end, End::RunBudget | End::Wall),
+            timed_out: finish.end == End::RunBudget,
             exhausted: finish.end == End::Drained,
             syscall_divergences: session.syscall_divergences,
             cursor_overruns: session.cursor_overruns,
@@ -588,34 +588,12 @@ impl GuidedEngine for Session<'_, '_> {
             }
         }
 
-        // Standard pending sets: negate branch literals, offered in
-        // the strategy's order (caps, quotas and dedup live in the
-        // frontier; the caps bound quadratic prefix copying on long
-        // server paths).
-        for i in engine.cfg.budget.policy.strategy.offer_order(path.len()) {
-            if frontier.run_full() {
-                break;
-            }
-            let Some((bid, lit)) = path[i].as_branch() else {
-                continue;
-            };
-            if !frontier.depth_ok(i + 1) {
-                continue;
-            }
-            // In a 2(b) abort the final literal is already forced;
-            // don't negate it.
-            if forced && i == path.len() - 1 {
-                continue;
-            }
-            if arena.is_concrete(lit.expr) {
-                continue;
-            }
-            let neg = lit.negated();
-            let (sig, n_lits) = sigs.candidate(i, neg);
-            frontier.offer(sig, n_lits, Some(bid.0), || {
-                (sigs.build(i, &[neg]), assignment.to_vec())
-            });
-        }
+        // Standard pending sets: negate branch literals (order, caps,
+        // quotas and dedup live in the frontier). In a 2(b) abort the
+        // final literal is already forced: don't negate it.
+        frontier.offer_negations(&sigs, forced, arena, assignment, |i| {
+            path[i].as_branch().map(|(bid, lit)| (bid.0, lit))
+        });
         frontier.end_run();
         // The branch-divergence forced set (whole path; for a 2(b)
         // abort its last literal already points the recorded way)
@@ -636,47 +614,37 @@ impl GuidedEngine for Session<'_, '_> {
                 self.book.tracker.reset_bursts();
             }
             let cs = sigs.build(path.len(), &[]);
-            let rp = engine.cfg.budget.policy.forced_repair;
-            let mut info_for_meta = None;
-            if rp.enabled {
-                // The suspect windows are wider than the attempt
-                // budget so duplicate (already-explored) flips can be
-                // walked past without exhausting the ladder.
-                let window = (rp.max_repairs as usize).max(64);
-                let suspects: Vec<usize> = path
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, st)| {
-                        matches!(st.as_branch(), Some((b, lit))
-                            if !engine.plan.covers(b) && !arena.is_concrete(lit.expr))
-                    })
-                    .map(|(i, _)| i)
-                    .take(window)
-                    .collect();
-                if let (Some(_), Some(&last)) = (suspects.first(), suspects.last()) {
-                    // The burst key is the stall identity. Flat logs
-                    // key on the log high-water mark: every UNSAT
-                    // forced set while the mark stands still pools
-                    // its evidence into one burst, however the
-                    // aborting paths differ — and each deeper stall
-                    // gets a fresh repair budget. Per-location logs
-                    // key on the (location, cursor) that diverged:
-                    // stalls at different locations are independent
-                    // pathologies and must not share a burst or a
-                    // repair budget.
-                    let key = match run.stats.divergent_cursor {
-                        Some((loc, pos)) => search::location_key(loc, pos),
-                        None => self.book.bits_high_water as u128,
-                    };
-                    let info = ForcedInfo {
-                        key,
-                        steps: path[..=last].to_vec(),
-                        suspects,
-                        seed: assignment.to_vec(),
-                    };
-                    info_for_meta = Some(info);
+            let suspects: Vec<usize> = path
+                .iter()
+                .enumerate()
+                .filter(|(_, st)| {
+                    matches!(st.as_branch(), Some((b, lit))
+                        if !engine.plan.covers(b) && !arena.is_concrete(lit.expr))
+                })
+                .map(|(i, _)| i)
+                .take(SUSPECT_WINDOW)
+                .collect();
+            let info_for_meta = suspects.last().copied().map(|last| {
+                // The burst key is the stall identity. Flat logs key on
+                // the log high-water mark: every UNSAT forced set while
+                // the mark stands still pools its evidence into one
+                // burst, however the aborting paths differ — and each
+                // deeper stall gets a fresh repair budget. Per-location
+                // logs key on the (location, cursor) that diverged:
+                // stalls at different locations are independent
+                // pathologies and must not share a burst or a repair
+                // budget.
+                let key = match run.stats.divergent_cursor {
+                    Some((loc, pos)) => search::location_key(loc, pos),
+                    None => self.book.bits_high_water as u128,
+                };
+                ForcedInfo {
+                    key,
+                    steps: path[..=last].to_vec(),
+                    suspects,
+                    seed: assignment.to_vec(),
                 }
-            }
+            });
             let cs_sig = search::signature(&cs);
             frontier.offer_priority(cs_sig, cs, assignment.to_vec(), false);
             if let Some(info) = info_for_meta {
@@ -699,7 +667,6 @@ impl GuidedEngine for Session<'_, '_> {
     /// ladder at the k-th rung; dedup walks past already-explored flips)
     /// and queue the repaired prefix on the priority lane.
     fn on_unsat(&mut self, sig: u128, frontier: &mut Frontier) {
-        let rp = self.engine.cfg.budget.policy.forced_repair;
         let book = &mut self.book;
         let Some(info) = book.forced_meta.get(&sig) else {
             return;
@@ -718,7 +685,7 @@ impl GuidedEngine for Session<'_, '_> {
         if let Some(loc) = hot_loc {
             book.escalation.loc_mut(loc).forced_failures += 1;
         }
-        match book.tracker.note_thrash(info.key, &rp) {
+        match book.tracker.note_thrash(info.key) {
             Some(attempt) => {
                 if let Some(loc) = hot_loc {
                     book.escalation.loc_mut(loc).repair_bursts += 1;
@@ -733,7 +700,7 @@ impl GuidedEngine for Session<'_, '_> {
                 // Either the burst threshold is unmet, or the
                 // per-prefix budget ran out (count the latter
                 // once).
-                if book.tracker.cut_off(info.key, &rp) && book.counted_cutoffs.insert(info.key) {
+                if book.tracker.cut_off(info.key) && book.counted_cutoffs.insert(info.key) {
                     frontier.note_repair_cutoff();
                 }
             }
@@ -796,17 +763,11 @@ struct ForcedInfo {
     /// Path steps up to the last repairable suspect (inclusive).
     steps: Vec<PathStep>,
     /// Indices into `steps` of the *unlogged* symbolic suspects,
-    /// earliest first — the decisions the log never vouched for.
+    /// earliest first — the decisions the log never vouched for: an
+    /// early unverified decision is what corrupts a forced prefix, and
+    /// deepest-first is exactly what plain DFS already retried. This is
+    /// the repair ladder.
     suspects: Vec<usize>,
     /// The aborting run's assignment, used to seed repair solves.
     seed: Vec<i64>,
-}
-
-impl ForcedInfo {
-    /// The repair ladder: the unlogged suspects, earliest first — an
-    /// early unverified decision is what corrupts a forced prefix, and
-    /// deepest-first is exactly what plain DFS already retried.
-    fn ladder(&self) -> impl Iterator<Item = usize> + '_ {
-        self.suspects.iter().copied()
-    }
 }

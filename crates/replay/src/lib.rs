@@ -364,7 +364,6 @@ mod e2e {
         // zero logging gives a search problem instead of a lookup.)
         let mut rcfg = ReplayConfig::new(spec);
         rcfg.budget.max_runs = 3;
-        rcfg.solve.max_iters = 50;
         let res = ReplayEngine::new(&cp, plan, report, rcfg).reproduce();
         assert!(!res.reproduced);
         assert!(res.timed_out);
@@ -575,11 +574,11 @@ mod e2e {
         // the early branch the wrong way; at the logged twin the recorded
         // bit forces the opposite direction, so every 2(b) forced set
         // carries `!(s0=='Q') && (s0=='Q')` — UNSAT. A long unlogged
-        // byte-scan loop sits between the two, so with a small per-run
-        // scheduling cap the deepest-first standard sets only ever negate
-        // loop bytes: the search thrashes without repair, and converges
-        // once the earliest-unlogged-suspect repair flips the corrupted
-        // decision.
+        // byte-scan loop sits between the two, so the deepest-first
+        // standard sets negate loop bytes long before the early branch:
+        // at the default caps the search thrashes without repair, and
+        // converges once the earliest-unlogged-suspect repair flips the
+        // corrupted decision.
         let src = r#"
             int main(int argc, char **argv) {
                 char *s = argv[1];
@@ -625,31 +624,18 @@ mod e2e {
         let report = BugReport::capture(vm.host, crash);
         assert_eq!(report.trace.len(), 1, "one logged branch execution");
 
-        let run = |repair: search::ForcedSetRepair| {
-            let mut rcfg = ReplayConfig::new(spec.clone());
-            rcfg.budget.max_runs = 48;
-            // Small cap: deepest-first offers only deep loop negations,
-            // starving the shallow suspect — the thrash precondition.
-            rcfg.budget.max_pendings_per_run = 4;
-            // UNSAT forced sets should fail fast, not burn a full proof
-            // budget (the repair path is what is under test).
-            rcfg.solve.max_iters = 2000;
-            rcfg.budget.policy.forced_repair = repair;
-            ReplayEngine::new(&cp, plan.clone(), report.clone(), rcfg).reproduce()
-        };
-
-        let thrashed = run(search::ForcedSetRepair::disabled());
-        assert!(
-            !thrashed.reproduced,
-            "without repair the search must thrash within the budget: {:?}",
-            (thrashed.runs, &thrashed.frontier),
-        );
-
-        let repaired = run(search::ForcedSetRepair::default());
+        let mut rcfg = ReplayConfig::new(spec);
+        rcfg.budget.max_runs = 48;
+        let repaired = ReplayEngine::new(&cp, plan, report, rcfg).reproduce();
         assert!(
             repaired.reproduced,
             "earliest-suspect repair must converge: {:?}",
             (repaired.runs, &repaired.frontier),
+        );
+        assert!(
+            repaired.frontier.forced_unsat >= u64::from(search::REPAIR_UNSAT_BURST),
+            "forced sets went UNSAT in a burst: {:?}",
+            repaired.frontier,
         );
         assert!(
             repaired.frontier.repairs_scheduled >= 1,
@@ -1400,76 +1386,6 @@ mod e2e {
                     prop_assert!(tallies.0 + tallies.1 >= 1, "the table index concretizes");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn parallel_wall_timeout_is_reported_as_timeout_not_exhaustion() {
-        // The latent concurrency hazard in failure reporting: when the
-        // wall cap expires during a speculative commit phase the engine
-        // restores the unconsumed tail and leaves the frontier
-        // non-empty, so a naive drain epilogue could classify the stop
-        // as exhaustion (or worse, keep popping). The epilogue must pin
-        // the precedence: wall expiry → `timed_out`, never `exhausted`,
-        // at every worker count. A heavy concrete loop makes a single
-        // run outlast the 1 ms cap.
-        let src = r#"
-            int main(int argc, char **argv) {
-                char *s = argv[1];
-                int acc = 0;
-                for (int i = 0; i < 200000; i++) { acc = acc + i; }
-                if (s[0] == 'c') {
-                    if (s[1] == 'r') {
-                        int *p = 0;
-                        return *p;
-                    }
-                }
-                return 0;
-            }
-        "#;
-        let cp = build(&[("main", src)]).unwrap();
-        let spec = InputSpec::argv_symbolic("prog", 1, 2);
-        let parts = InputParts {
-            argv_sym: vec![b"cr".to_vec()],
-            ..InputParts::default()
-        };
-        let plan = Plan::build(
-            Method::AllBranches,
-            &vec![DynLabel::Unvisited; cp.n_branches()],
-            &vec![false; cp.n_branches()],
-            cp.n_branches(),
-        );
-        let mut arena = ExprArena::new();
-        let vars = InputVars::alloc(&mut arena, &spec);
-        let assignment = assignment_from_input(&spec, &parts);
-        let (argv, kcfg) = realize(&spec, &vars, &assignment, &KernelConfig::default());
-        let host = LoggingHost::new(Kernel::new(kcfg), plan.clone());
-        let mut vm = Vm::new(&cp, host);
-        let crash = vm.run(&argv).crash().expect("cr crashes").clone();
-        let report = BugReport::capture(vm.host, crash);
-        for workers in [1usize, 2] {
-            let mut rcfg = ReplayConfig::new(spec.clone());
-            rcfg.budget.max_runs = 100_000;
-            rcfg.budget.max_wall_ms = 1;
-            rcfg.budget.workers = workers;
-            let res = ReplayEngine::new(&cp, plan.clone(), report.clone(), rcfg).reproduce();
-            if res.reproduced {
-                continue; // a fast machine may win before the cap fires
-            }
-            assert!(
-                res.timed_out,
-                "workers={workers}: the 1 ms wall cap must report a timeout: \
-                 {} runs",
-                res.runs
-            );
-            assert!(
-                !res.exhausted,
-                "workers={workers}: a wall expiry is never exhaustion"
-            );
-            assert!(
-                res.runs < 100_000,
-                "workers={workers}: the run budget was not the stopper"
-            );
         }
     }
 

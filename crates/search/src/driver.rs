@@ -6,8 +6,8 @@
 //! model. They differ only in what a run records and when the search
 //! succeeds — which is what a [`GuidedEngine`] supplies. [`drive`] owns
 //! everything else: the expression arena, the frontier, the prefix
-//! cache, solver seeding, drain restarts, the run and wall budgets, and
-//! the [`SearchCounters`].
+//! cache, solver seeding, drain restarts, the run budget, and the
+//! [`SearchCounters`].
 //!
 //! Each round pops up to `width = workers.max(1)` pending sets, solves
 //! them against the frozen central arena (on `width` threads, via
@@ -19,11 +19,10 @@
 //! are fixed by commit index. Results are therefore identical for every
 //! worker count.
 
-use crate::{pool, Frontier, FrontierStats, PendingSet, SearchLimits, MAX_PENDING_LITS};
+use crate::{pool, Frontier, FrontierStats, PendingSet, SearchLimits};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use solver::{mix_seed, ExprArena, PrefixCache, SolveCfg, SolveStats};
-use std::time::Instant;
 
 /// What an engine plugs into [`drive`]: how to execute one run (worker
 /// side) and how to account for runs and verdicts (commit side).
@@ -77,8 +76,6 @@ pub enum End {
     Success,
     /// The run budget (`max_runs`) was spent.
     RunBudget,
-    /// The wall-clock cap (`max_wall_ms`) expired.
-    Wall,
     /// The frontier drained with budget left, and no restart applied.
     Drained,
 }
@@ -137,30 +134,23 @@ pub fn seeded_assignment(n: usize, seed: u64) -> Vec<i64> {
     (0..n).map(|_| rng.gen_range(0x20..0x7f) as i64).collect()
 }
 
-/// Runs the guided search from `initial` until it succeeds, spends a
-/// budget or drains.
+/// Runs the guided search from `initial` until it succeeds, spends its
+/// run budget or drains.
 ///
 /// `arena` holds the session's input variables; `seed` seeds both the
-/// solver (mixed with each call's 1-based commit index) and the drain
-/// restarts (mixed with the restart index, over `initial.len()` bytes).
+/// solver (the default [`SolveCfg`], its seed mixed with each call's
+/// 1-based commit index) and the drain restarts (mixed with the restart
+/// index, over `initial.len()` bytes).
 pub fn drive<E: GuidedEngine>(
     engine: &mut E,
     limits: &SearchLimits,
     seed: u64,
-    solve: &SolveCfg,
     mut arena: ExprArena,
     initial: Vec<i64>,
 ) -> Finish<E::Run> {
-    let start = Instant::now();
-    let wall_expired =
-        || limits.max_wall_ms > 0 && start.elapsed().as_millis() as u64 > limits.max_wall_ms;
     let width = limits.workers.max(1);
     let n_inputs = initial.len();
-    let mut frontier = Frontier::new(
-        limits.policy.clone(),
-        limits.max_pendings_per_run,
-        MAX_PENDING_LITS,
-    );
+    let mut frontier = Frontier::new(limits.policy.clone());
     let mut cache = PrefixCache::new();
     let mut counters = SearchCounters::default();
     let mut assignment = initial;
@@ -185,9 +175,6 @@ pub fn drive<E: GuidedEngine>(
         if counters.runs >= limits.max_runs {
             break (End::RunBudget, run);
         }
-        if wall_expired() {
-            break (End::Wall, run);
-        }
         engine.bank(
             &run,
             &assignment,
@@ -199,13 +186,8 @@ pub fn drive<E: GuidedEngine>(
         // jobs' clones share it instead of copying it.
         arena.freeze();
 
-        let mut timed_out = false;
         loop {
-            let batch = if timed_out {
-                Vec::new()
-            } else {
-                frontier.pop_batch(width)
-            };
+            let batch = frontier.pop_batch(width);
             if batch.is_empty() {
                 break;
             }
@@ -217,7 +199,7 @@ pub fn drive<E: GuidedEngine>(
             let phase = pool::parallel_map(width, sets, |i, set| {
                 let cfg = SolveCfg {
                     seed: mix_seed(seed, (base_calls + i + 1) as u64),
-                    ..solve.clone()
+                    ..SolveCfg::default()
                 };
                 let (model, stats) = solver::solve_with_stats_cached(
                     central,
@@ -262,21 +244,12 @@ pub fn drive<E: GuidedEngine>(
                 if engine.unsat_touches_frontier(sig) {
                     frontier.restore(pops.collect());
                     engine.on_unsat(sig, &mut frontier);
-                    timed_out = wall_expired();
-                    break;
-                }
-                if wall_expired() {
-                    timed_out = true;
-                    frontier.restore(pops.collect());
                     break;
                 }
             }
         }
 
-        // Drained (or timed out mid-round).
-        if timed_out {
-            break (End::Wall, run);
-        }
+        // Drained.
         if limits.policy.restart_on_drain && frontier.ever_scheduled() {
             let r = frontier.stats().restarts;
             frontier.note_restart();
@@ -310,8 +283,6 @@ mod tests {
         target: Vec<i64>,
         /// Reaching the target ends the search.
         succeed: bool,
-        /// Every run sleeps 2 ms (for the wall-clock cap).
-        nap: bool,
         /// The last banked path; UNSAT answers reuse its literals.
         last_path: Vec<Lit>,
         /// Assignments of the observed runs, in commit order.
@@ -327,9 +298,6 @@ mod tests {
         type Run = ToyRun;
 
         fn exec_run(&self, mut arena: ExprArena, assignment: &[i64]) -> (ToyRun, ExprArena) {
-            if self.nap {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
             let mut branch = |var: usize, value: i64| {
                 let x = arena.var_expr(VarId(var as u32));
                 let c = arena.constant(value);
@@ -370,18 +338,9 @@ mod tests {
             }
             let sigs = PrefixSigs::new(run.path.iter().map(|&l| Constraint::Lit(l)));
             frontier.begin_run();
-            for i in frontier.policy().strategy.offer_order(run.path.len()) {
-                let neg = run.path[i].negated();
-                let (sig, lits) = sigs.candidate(i, neg);
-                frontier.offer(sig, lits, Some(i as u32), || {
-                    let mut cs = ConstraintSet::new();
-                    for &l in &run.path[..i] {
-                        cs.push(l);
-                    }
-                    cs.push(neg);
-                    (cs, assignment.to_vec())
-                });
-            }
+            frontier.offer_negations(&sigs, false, arena, assignment, |i| {
+                Some((i as u32, run.path[i]))
+            });
             frontier.end_run();
             self.last_path = run.path.clone();
         }
@@ -406,7 +365,6 @@ mod tests {
         Toy {
             target: b"go!".iter().map(|&b| i64::from(b)).collect(),
             succeed: true,
-            nap: false,
             last_path: Vec::new(),
             observed: Vec::new(),
         }
@@ -422,32 +380,32 @@ mod tests {
         };
         match name {
             "success" => (toy(), limits, End::Success),
-            "run budget" => (stuck, limits.with_max_runs(6), End::RunBudget),
-            "wall" => {
-                let napping = Toy { nap: true, ..toy() };
-                let limits = SearchLimits {
-                    max_wall_ms: 1,
+            "run budget" => (
+                stuck,
+                SearchLimits {
+                    max_runs: 6,
                     ..limits
-                };
-                (napping, limits, End::Wall)
-            }
+                },
+                End::RunBudget,
+            ),
             "drained" => (stuck, limits, End::Drained),
             "restart" => {
                 let policy = crate::SearchPolicy {
                     restart_on_drain: true,
                     ..crate::SearchPolicy::default()
                 };
-                (
-                    stuck,
-                    limits.with_max_runs(80).with_policy(policy),
-                    End::RunBudget,
-                )
+                let limits = SearchLimits {
+                    max_runs: 80,
+                    policy,
+                    ..limits
+                };
+                (stuck, limits, End::RunBudget)
             }
             _ => unreachable!("unknown scenario {name}"),
         }
     }
 
-    const SCENARIOS: [&str; 5] = ["success", "run budget", "wall", "drained", "restart"];
+    const SCENARIOS: [&str; 4] = ["success", "run budget", "drained", "restart"];
 
     /// Drives a scenario's toy at `width`.
     fn drive_toy(name: &str, width: usize) -> (Toy, Finish<ToyRun>, End) {
@@ -457,15 +415,11 @@ mod tests {
             arena.fresh_var(VarInfo::byte());
         }
         let initial = seeded_assignment(toy.target.len(), SEED);
-        let limits = limits.with_workers(width);
-        let finish = drive(
-            &mut toy,
-            &limits,
-            SEED,
-            &SolveCfg::default(),
-            arena,
-            initial,
-        );
+        let limits = SearchLimits {
+            workers: width,
+            ..limits
+        };
+        let finish = drive(&mut toy, &limits, SEED, arena, initial);
         (toy, finish, want)
     }
 
@@ -501,10 +455,7 @@ mod tests {
                 )
             };
             let width1 = observable(1);
-            assert!(
-                name == "wall" || !width1.3.is_empty(),
-                "{name}: the search must solve sets"
-            );
+            assert!(!width1.3.is_empty(), "{name}: the search must solve sets");
             for width in [2, 4] {
                 assert_eq!(width1, observable(width), "{name}: width {width} diverged");
             }
@@ -531,8 +482,6 @@ mod tests {
     fn driver_budgets_stop_the_search() {
         let (_, f, _) = drive_toy("run budget", 1);
         assert_eq!((f.end, f.counters.runs), (End::RunBudget, 6));
-        let (_, f, _) = drive_toy("wall", 1);
-        assert_eq!((f.end, f.counters.runs), (End::Wall, 1));
     }
 
     #[test]

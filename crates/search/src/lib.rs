@@ -27,13 +27,16 @@
 //! frontier.begin_run();
 //! let sigs = PrefixSigs::new(path);  // one hashing pass over the run
 //! frontier.offer_priority(sig, ..);  // forced / recovery sets, tried first
-//! while !frontier.run_full() {
-//!     let (sig, lits) = sigs.candidate(i, negated_lit_i);
-//!     frontier.offer(sig, lits, branch, || sigs.build(i, &[negated_lit_i]));
-//! }
+//! // the standard sets: each branch step negated, in the strategy's
+//! // order, up to MAX_PENDINGS_PER_RUN of at most MAX_PENDING_LITS
+//! frontier.offer_negations(&sigs, skip_last, arena, seed, |i| branch_i);
 //! frontier.end_run();
 //! // the driver: pop_batch(width), solve, note_solved_sig / restore
 //! ```
+//!
+//! The frontier's two caps and the forced-set repair thresholds are
+//! constants ([`MAX_PENDINGS_PER_RUN`], [`MAX_PENDING_LITS`],
+//! [`REPAIR_UNSAT_BURST`], [`MAX_REPAIRS`]): no session varies them.
 //!
 //! Deduplication keys pending sets on a 128-bit hash of the full
 //! `(ExprRef, bool)` literal vector — wide enough that a collision (which
@@ -46,14 +49,18 @@
 //! sets an earlier run already banked, so most candidates are never
 //! built at all.
 
-use solver::{Constraint, ConstraintSet, FastMap, FastSet, Fnv128, Lit, RangeConstraint};
+use solver::{
+    Constraint, ConstraintSet, ExprArena, FastMap, FastSet, Fnv128, Lit, RangeConstraint,
+};
 
 pub mod driver;
 pub mod limits;
 pub mod pool;
 
 pub use driver::{seeded_assignment, SearchCounters};
-pub use limits::{Concretization, SearchLimits, FUEL_PER_RUN, MAX_PENDING_LITS};
+pub use limits::{
+    Concretization, SearchLimits, FUEL_PER_RUN, MAX_PENDINGS_PER_RUN, MAX_PENDING_LITS,
+};
 
 /// Frontier exploration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -79,14 +86,15 @@ impl Strategy {
     }
 
     /// The order in which a run's candidate negation indices
-    /// (0 = shallowest, `n - 1` = deepest) should be offered. The
-    /// engines stop offering at the per-run cap, so this decides what a
-    /// long path's run actually schedules: DFS takes the deepest block
-    /// (the paper's behavior); generational interleaves both ends so
-    /// every run banks cheap shallow negations alongside deep suffixes —
-    /// without this, the cap fills with deep, routinely unsolvable sets
-    /// and the breadth-mixed pops have nothing shallow to mix in.
-    pub fn offer_order(self, n: usize) -> Vec<usize> {
+    /// (0 = shallowest, `n - 1` = deepest) should be offered.
+    /// [`Frontier::offer_negations`] stops at the per-run cap, so this
+    /// decides what a long path's run actually schedules: DFS takes the
+    /// deepest block (the paper's behavior); generational interleaves
+    /// both ends so every run banks cheap shallow negations alongside
+    /// deep suffixes — without this, the cap fills with deep, routinely
+    /// unsolvable sets and the breadth-mixed pops have nothing shallow
+    /// to mix in.
+    fn offer_order(self, n: usize) -> Vec<usize> {
         match self {
             Strategy::DeepestFirst => (0..n).rev().collect(),
             Strategy::Generational => {
@@ -106,47 +114,12 @@ impl Strategy {
     }
 }
 
-/// Forced-set repair policy (replay's answer to 2(b) UNSAT thrash).
-///
-/// A corrupted forced prefix — one where an *unlogged* symbolic branch
-/// went the wrong way early and every later forced set inherits the
-/// contradiction — produces a burst of UNSAT solver calls on forced sets
-/// sharing a common prefix. The repair strategy backtracks to the
-/// **earliest** unlogged symbolic suspect (not the deepest, which is
-/// what plain DFS keeps retrying), negates it, and re-queues the
-/// repaired prefix on the priority lane. A per-prefix attempt budget
-/// cuts the thrash off after a bounded number of retries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ForcedSetRepair {
-    /// Whether repair is active.
-    pub enabled: bool,
-    /// Consecutive UNSAT forced solves on one prefix before the first
-    /// repair is issued (and between subsequent repairs).
-    pub unsat_burst: u32,
-    /// Maximum repairs issued per prefix; the cutoff that bounds thrash.
-    pub max_repairs: u32,
-}
+/// Consecutive UNSAT forced solves at one stall before a forced-set
+/// repair is issued (and between subsequent repairs).
+pub const REPAIR_UNSAT_BURST: u32 = 2;
 
-impl Default for ForcedSetRepair {
-    fn default() -> Self {
-        ForcedSetRepair {
-            enabled: true,
-            unsat_burst: 2,
-            max_repairs: 24,
-        }
-    }
-}
-
-impl ForcedSetRepair {
-    /// Repair disabled — the pre-repair behavior, kept for comparison
-    /// runs and ablations.
-    pub fn disabled() -> Self {
-        ForcedSetRepair {
-            enabled: false,
-            ..ForcedSetRepair::default()
-        }
-    }
-}
+/// Forced-set repairs issued per stall: the cutoff that bounds thrash.
+pub const MAX_REPAIRS: u32 = 24;
 
 /// Burst key for a per-location cursor stall: the (branch location,
 /// cursor position) pair that diverged, lifted into a key space disjoint
@@ -165,7 +138,17 @@ pub fn key_location(key: u128) -> Option<(u32, u64)> {
     ((key >> 100) & 1 == 1).then_some(((key >> 64) as u32, key as u64))
 }
 
-/// Tracks thrash evidence per stall and meters repair attempts.
+/// Tracks thrash evidence per stall and meters forced-set repairs
+/// (replay's answer to 2(b) UNSAT thrash).
+///
+/// A corrupted forced prefix — one where an *unlogged* symbolic branch
+/// went the wrong way early and every later forced set inherits the
+/// contradiction — produces a burst of UNSAT solver calls on forced sets
+/// sharing a common prefix. After [`REPAIR_UNSAT_BURST`] of them the
+/// replay backtracks to the **earliest** unlogged symbolic suspect (not
+/// the deepest, which is what plain DFS keeps retrying), negates it, and
+/// re-queues the repaired prefix on the priority lane; [`MAX_REPAIRS`]
+/// per stall cuts the thrash off.
 ///
 /// Keys are caller-chosen 128-bit values; the replay engine keys on the
 /// log high-water mark (the stall depth) for flat logs and on
@@ -194,17 +177,14 @@ impl RepairTracker {
     /// `Some(attempt_index)` when a repair should be issued now (the
     /// index selects which suspect to flip: 0 = earliest), `None` while
     /// the burst threshold is unmet or the prefix is cut off.
-    pub fn note_thrash(&mut self, key: u128, policy: &ForcedSetRepair) -> Option<u32> {
-        if !policy.enabled {
-            return None;
-        }
+    pub fn note_thrash(&mut self, key: u128) -> Option<u32> {
         let b = self.bursts.entry(key).or_insert(0);
         *b += 1;
-        if *b < policy.unsat_burst {
+        if *b < REPAIR_UNSAT_BURST {
             return None;
         }
         let a = self.attempts.entry(key).or_insert(0);
-        if *a >= policy.max_repairs {
+        if *a >= MAX_REPAIRS {
             return None;
         }
         *a += 1;
@@ -222,16 +202,15 @@ impl RepairTracker {
     }
 
     /// True once `key` has exhausted its repair budget.
-    pub fn cut_off(&self, key: u128, policy: &ForcedSetRepair) -> bool {
-        self.attempts
-            .get(&key)
-            .is_some_and(|a| *a >= policy.max_repairs)
+    pub fn cut_off(&self, key: u128) -> bool {
+        self.attempts.get(&key).is_some_and(|a| *a >= MAX_REPAIRS)
     }
 }
 
 /// Scheduling policy for one search session, threaded through the
-/// engines' budgets.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// engines' budgets. The default is the paper's: depth-first, no
+/// quotas, no restarts.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SearchPolicy {
     /// Frontier exploration order.
     pub strategy: Strategy,
@@ -241,19 +220,6 @@ pub struct SearchPolicy {
     /// When the frontier drains with run budget left, restart from a
     /// fresh seeded input instead of declaring exhaustion.
     pub restart_on_drain: bool,
-    /// Forced-set repair on 2(b) UNSAT bursts (replay only).
-    pub forced_repair: ForcedSetRepair,
-}
-
-impl Default for SearchPolicy {
-    fn default() -> Self {
-        SearchPolicy {
-            strategy: Strategy::DeepestFirst,
-            branch_quota: 0,
-            restart_on_drain: false,
-            forced_repair: ForcedSetRepair::default(),
-        }
-    }
 }
 
 impl SearchPolicy {
@@ -265,7 +231,6 @@ impl SearchPolicy {
             strategy: Strategy::Generational,
             branch_quota: 2,
             restart_on_drain: true,
-            forced_repair: ForcedSetRepair::default(),
         }
     }
 }
@@ -445,11 +410,6 @@ impl FrontierStats {
 #[derive(Debug)]
 pub struct Frontier {
     policy: SearchPolicy,
-    /// Per-run cap on accepted candidates (the engine budget's
-    /// `max_pendings_per_run`).
-    max_per_run: usize,
-    /// Pending sets longer than this many literals are skipped.
-    max_lits: usize,
     /// The general pool. `DeepestFirst` treats it as a stack.
     entries: Vec<PendingSet>,
     /// Forced-direction and recovery sets: LIFO, always popped first.
@@ -547,6 +507,16 @@ impl PrefixSigs {
         }
     }
 
+    /// The number of steps in the path.
+    pub fn len(&self) -> usize {
+        self.lit_states.len() - 1
+    }
+
+    /// True for an empty path.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// The number of range steps in `steps[..i]`.
     fn ranges_before(&self, i: usize) -> usize {
         self.range_steps.partition_point(|&j| j < i)
@@ -585,15 +555,13 @@ impl PrefixSigs {
 
 impl Frontier {
     /// Creates a frontier for one session.
-    pub fn new(policy: SearchPolicy, max_pendings_per_run: usize, max_pending_lits: usize) -> Self {
+    pub fn new(policy: SearchPolicy) -> Self {
         let stats = FrontierStats {
             strategy: policy.strategy,
             ..FrontierStats::default()
         };
         Frontier {
             policy,
-            max_per_run: max_pendings_per_run,
-            max_lits: max_pending_lits,
             entries: Vec::new(),
             priority: Vec::new(),
             run_buffer: Vec::new(),
@@ -613,22 +581,58 @@ impl Frontier {
         self.generation += 1;
     }
 
-    /// True once this run's scheduling cap is reached — the engine stops
-    /// offering standard candidates.
-    pub fn run_full(&self) -> bool {
-        self.accepted_this_run >= self.max_per_run
+    /// True once this run's scheduling cap is reached: no more standard
+    /// candidates are offered.
+    fn run_full(&self) -> bool {
+        self.accepted_this_run >= MAX_PENDINGS_PER_RUN
     }
 
     /// Cheap pre-check on a candidate's step count (an upper bound on its
-    /// literal count), counted as a depth skip. Engines call this before
-    /// they look up the candidate's support or signature, so too-deep
+    /// literal count), counted as a depth skip. Checked before the
+    /// candidate's literal or signature is looked at, so too-deep
     /// candidates on long server paths cost nothing.
-    pub fn depth_ok(&mut self, lits: usize) -> bool {
-        if lits > self.max_lits {
+    fn depth_ok(&mut self, lits: usize) -> bool {
+        if lits > MAX_PENDING_LITS {
             self.stats.skipped_depth += 1;
             return false;
         }
         true
+    }
+
+    /// Offers a run's standard pending sets: for each step `i` in the
+    /// strategy's order, the path prefix `steps[..i]` plus the negation
+    /// of step `i`'s branch literal, seeded with `seed`, until the run's
+    /// cap fills. `branch(i)` is step `i`'s branch location and literal,
+    /// or `None` when step `i` is not a branch. A branch step is skipped,
+    /// in this order, when its prefix is over the literal cap, when it is
+    /// the last step and `skip_last` is set (a 2(b) abort's last literal
+    /// is already forced), or when its literal is concrete (no input
+    /// influences it).
+    pub fn offer_negations(
+        &mut self,
+        sigs: &PrefixSigs,
+        skip_last: bool,
+        arena: &ExprArena,
+        seed: &[i64],
+        branch: impl Fn(usize) -> Option<(u32, Lit)>,
+    ) {
+        let n = sigs.len();
+        for i in self.policy.strategy.offer_order(n) {
+            if self.run_full() {
+                break;
+            }
+            let Some((loc, lit)) = branch(i) else {
+                continue;
+            };
+            if !self.depth_ok(i + 1) || (skip_last && i + 1 == n) || arena.is_concrete(lit.expr) {
+                continue;
+            }
+            let neg = lit.negated();
+            let (sig, lits) = sigs.candidate(i, neg);
+            self.offer(sig, lits, Some(loc), || {
+                (sigs.build(i, &[neg]), seed.to_vec())
+            });
+        }
     }
 
     /// Offers a standard pending set (a path prefix with one negated
@@ -647,7 +651,7 @@ impl Frontier {
         build: impl FnOnce() -> (ConstraintSet, Vec<i64>),
     ) -> bool {
         self.stats.offered += 1;
-        if lits > self.max_lits {
+        if lits > MAX_PENDING_LITS {
             self.stats.skipped_depth += 1;
             return false;
         }
@@ -933,11 +937,6 @@ impl Frontier {
         self.len() == 0
     }
 
-    /// The scheduling policy in force.
-    pub fn policy(&self) -> &SearchPolicy {
-        &self.policy
-    }
-
     /// Scheduling counters so far.
     pub fn stats(&self) -> &FrontierStats {
         &self.stats
@@ -954,7 +953,7 @@ impl Frontier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use solver::{ExprRef, Lit};
+    use solver::{ExprRef, Lit, VarId, VarInfo};
 
     fn set(ids: &[u32]) -> ConstraintSet {
         let mut cs = ConstraintSet::new();
@@ -965,10 +964,6 @@ mod tests {
             });
         }
         cs
-    }
-
-    fn frontier(policy: SearchPolicy) -> Frontier {
-        Frontier::new(policy, 64, 4000)
     }
 
     /// Offers of already-built sets, hashed here: the scheduling tests
@@ -1002,7 +997,7 @@ mod tests {
 
     #[test]
     fn deepest_first_pops_in_stack_order() {
-        let mut f = frontier(SearchPolicy::default());
+        let mut f = Frontier::new(SearchPolicy::default());
         f.begin_run();
         // Engine offers deepest-first: depth 3, then 2, then 1.
         assert!(f.offer_set(set(&[1, 2, 3]), vec![], None));
@@ -1017,7 +1012,7 @@ mod tests {
 
     #[test]
     fn generational_alternates_shallow_and_deep() {
-        let mut f = frontier(SearchPolicy {
+        let mut f = Frontier::new(SearchPolicy {
             strategy: Strategy::Generational,
             ..SearchPolicy::default()
         });
@@ -1035,7 +1030,7 @@ mod tests {
 
     #[test]
     fn priority_lane_is_lifo_and_first() {
-        let mut f = frontier(SearchPolicy::default());
+        let mut f = Frontier::new(SearchPolicy::default());
         f.begin_run();
         assert!(f.offer_set(set(&[1, 2, 3]), vec![], None));
         assert!(f.offer_priority_set(set(&[4]), vec![], false));
@@ -1050,7 +1045,7 @@ mod tests {
 
     #[test]
     fn duplicate_sets_are_rejected_across_lanes() {
-        let mut f = frontier(SearchPolicy::default());
+        let mut f = Frontier::new(SearchPolicy::default());
         f.begin_run();
         assert!(f.offer_priority_set(set(&[1, 2]), vec![], true));
         assert!(
@@ -1067,7 +1062,7 @@ mod tests {
 
     #[test]
     fn priority_offer_promotes_a_pooled_duplicate() {
-        let mut f = frontier(SearchPolicy::default());
+        let mut f = Frontier::new(SearchPolicy::default());
         // Run 1 queues two standard sets.
         f.begin_run();
         assert!(f.offer_set(set(&[1, 2]), vec![7], None));
@@ -1096,14 +1091,10 @@ mod tests {
     /// only.
     #[test]
     fn offers_are_checked_in_order_and_built_only_on_acceptance() {
-        let mut f = Frontier::new(
-            SearchPolicy {
-                branch_quota: 1,
-                ..SearchPolicy::default()
-            },
-            64,
-            2,
-        );
+        let mut f = Frontier::new(SearchPolicy {
+            branch_quota: 1,
+            ..SearchPolicy::default()
+        });
         let built = std::cell::Cell::new(0u64);
         let offer = |f: &mut Frontier, ids: &[u32], branch: u32| {
             let cs = set(ids);
@@ -1115,7 +1106,8 @@ mod tests {
         };
         f.begin_run();
         assert!(offer(&mut f, &[1], 7), "fresh: accepted");
-        assert!(!offer(&mut f, &[1, 2, 3], 8), "too deep");
+        let too_deep: Vec<u32> = (0..=MAX_PENDING_LITS as u32).collect();
+        assert!(!offer(&mut f, &too_deep, 8), "too deep");
         assert!(!offer(&mut f, &[1], 8), "duplicate, other location");
         assert!(!offer(&mut f, &[2], 7), "location 7 is at its quota");
         assert!(
@@ -1128,7 +1120,9 @@ mod tests {
         // Depth comes first: an accepted signature offered over the cap
         // is charged to depth, not to the dedup.
         let seen = signature(&set(&[1]));
-        assert!(!f.offer(seen, 3, Some(7), || unreachable!("rejected")));
+        assert!(!f.offer(seen, MAX_PENDING_LITS + 1, Some(7), || {
+            unreachable!("rejected")
+        }));
         assert!(
             offer(&mut f, &[2], 7),
             "quota rejections are not remembered"
@@ -1206,11 +1200,77 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        // The standard negation loop's contract: on paths mixing range
+        // steps, non-branch literals and branch literals over constants
+        // (concrete) or input variables, often longer than the per-run
+        // cap, the accepted sets are the strategy's order filtered to
+        // branch steps, minus the last step under `skip_last`, minus
+        // concrete literals, cut off at the cap — each built from the
+        // split path with the given seed. (Paths stay below the literal
+        // cap, so no candidate is a depth skip.)
+        #[test]
+        fn offer_negations_schedules_the_filtered_strategy_order(
+            kinds in proptest::collection::vec((0u8..6, proptest::prelude::any::<bool>()), 0..200),
+            generational in proptest::prelude::any::<bool>(),
+            skip_last in proptest::prelude::any::<bool>(),
+            seed in proptest::collection::vec(-9i64..9, 0..4),
+        ) {
+            // 0: range; 1: non-branch literal; 2: concrete branch
+            // literal; 3-5: branch literal over an input variable.
+            let mut arena = ExprArena::new();
+            let vars: Vec<VarId> = (0..8).map(|_| arena.fresh_var(VarInfo::byte()).0).collect();
+            let steps: Vec<Constraint> = kinds
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, positive))| {
+                    let var = arena.var_expr(vars[i % vars.len()]);
+                    match kind {
+                        0 => Constraint::Range(RangeConstraint::range(var, 0, i as i64, 0)),
+                        2 => Constraint::Lit(Lit { expr: arena.constant(i as i64), positive }),
+                        _ => Constraint::Lit(Lit { expr: var, positive }),
+                    }
+                })
+                .collect();
+            let branch = |i: usize| match steps[i] {
+                Constraint::Lit(lit) if kinds[i].0 >= 2 => Some((i as u32, lit)),
+                _ => None,
+            };
+            let strategy = if generational { Strategy::Generational } else { Strategy::DeepestFirst };
+            let sigs = PrefixSigs::new(steps.iter().copied());
+            proptest::prop_assert_eq!(sigs.len(), steps.len());
+            let mut f = Frontier::new(SearchPolicy { strategy, ..SearchPolicy::default() });
+            f.begin_run();
+            f.offer_negations(&sigs, skip_last, &arena, &seed, branch);
+
+            let n = steps.len();
+            let want: Vec<(ConstraintSet, Vec<i64>)> = strategy
+                .offer_order(n)
+                .into_iter()
+                .filter_map(|i| branch(i).map(|(_, lit)| (i, lit)))
+                .filter(|&(i, _)| !(skip_last && i + 1 == n))
+                .filter(|&(i, _)| kinds[i].0 != 2)
+                .take(MAX_PENDINGS_PER_RUN)
+                .map(|(i, lit)| (sigs.build(i, &[lit.negated()]), seed.clone()))
+                .collect();
+            let got: Vec<(ConstraintSet, Vec<i64>)> =
+                f.run_buffer.iter().map(|p| (p.cs.clone(), p.seed.clone())).collect();
+            proptest::prop_assert_eq!(&got, &want);
+            let st = f.stats();
+            proptest::prop_assert_eq!(st.scheduled, want.len() as u64);
+            proptest::prop_assert_eq!(
+                st.offered,
+                st.scheduled + st.skipped_depth + st.skipped_duplicate + st.skipped_quota
+            );
+        }
+    }
+
     #[test]
     fn depth_ok_counts_and_gates() {
-        let mut f = Frontier::new(SearchPolicy::default(), 64, 3);
-        assert!(f.depth_ok(3));
-        assert!(!f.depth_ok(4));
+        let mut f = Frontier::new(SearchPolicy::default());
+        assert!(f.depth_ok(MAX_PENDING_LITS));
+        assert!(!f.depth_ok(MAX_PENDING_LITS + 1));
         assert_eq!(f.stats().skipped_depth, 1);
     }
 
@@ -1233,14 +1293,10 @@ mod tests {
 
     #[test]
     fn branch_quota_limits_per_location_per_run() {
-        let mut f = Frontier::new(
-            SearchPolicy {
-                branch_quota: 2,
-                ..SearchPolicy::default()
-            },
-            64,
-            4000,
-        );
+        let mut f = Frontier::new(SearchPolicy {
+            branch_quota: 2,
+            ..SearchPolicy::default()
+        });
         f.begin_run();
         assert!(f.offer_set(set(&[1]), vec![], Some(7)));
         assert!(f.offer_set(set(&[2]), vec![], Some(7)));
@@ -1261,14 +1317,10 @@ mod tests {
 
     #[test]
     fn duplicates_do_not_burn_the_branch_quota() {
-        let mut f = Frontier::new(
-            SearchPolicy {
-                branch_quota: 2,
-                ..SearchPolicy::default()
-            },
-            64,
-            4000,
-        );
+        let mut f = Frontier::new(SearchPolicy {
+            branch_quota: 2,
+            ..SearchPolicy::default()
+        });
         f.begin_run();
         assert!(f.offer_set(set(&[1]), vec![], Some(7)));
         assert!(f.offer_set(set(&[2]), vec![], Some(7)));
@@ -1289,14 +1341,10 @@ mod tests {
 
     #[test]
     fn quota_rejected_sets_can_be_scheduled_later() {
-        let mut f = Frontier::new(
-            SearchPolicy {
-                branch_quota: 1,
-                ..SearchPolicy::default()
-            },
-            64,
-            4000,
-        );
+        let mut f = Frontier::new(SearchPolicy {
+            branch_quota: 1,
+            ..SearchPolicy::default()
+        });
         f.begin_run();
         assert!(f.offer_set(set(&[1]), vec![], Some(7)));
         assert!(!f.offer_set(set(&[2]), vec![], Some(7)), "over quota");
@@ -1310,19 +1358,21 @@ mod tests {
 
     #[test]
     fn run_cap_and_literal_cap_apply() {
-        let mut f = Frontier::new(SearchPolicy::default(), 2, 3);
+        let mut f = Frontier::new(SearchPolicy::default());
         f.begin_run();
-        assert!(!f.offer_set(set(&[1, 2, 3, 4]), vec![], None), "too deep");
+        let too_deep: Vec<u32> = (0..=MAX_PENDING_LITS as u32).collect();
+        assert!(!f.offer_set(set(&too_deep), vec![], None), "too deep");
         assert_eq!(f.stats().skipped_depth, 1);
-        assert!(f.offer_set(set(&[1]), vec![], None));
-        assert!(!f.run_full());
-        assert!(f.offer_set(set(&[2]), vec![], None));
-        assert!(f.run_full(), "cap of 2 reached");
+        for id in 0..MAX_PENDINGS_PER_RUN as u32 {
+            assert!(!f.run_full());
+            assert!(f.offer_set(set(&[id]), vec![], None));
+        }
+        assert!(f.run_full(), "per-run cap reached");
     }
 
     #[test]
     fn restart_gate_requires_scheduling_history() {
-        let mut f = frontier(SearchPolicy::explorer());
+        let mut f = Frontier::new(SearchPolicy::explorer());
         assert!(!f.ever_scheduled());
         f.begin_run();
         assert!(f.offer_set(set(&[1]), vec![], None));
@@ -1345,55 +1395,63 @@ mod tests {
 
     #[test]
     fn stats_summary_names_the_strategy() {
-        let f = frontier(SearchPolicy::explorer());
+        let f = Frontier::new(SearchPolicy::explorer());
         assert!(f.stats().summary().starts_with("generational:"));
-        let d = frontier(SearchPolicy::default());
+        let d = Frontier::new(SearchPolicy::default());
         assert!(d.stats().summary().starts_with("deepest-first:"));
     }
 
     #[test]
     fn repair_tracker_waits_for_burst_then_walks_suspects() {
-        let policy = ForcedSetRepair {
-            enabled: true,
-            unsat_burst: 2,
-            max_repairs: 3,
-        };
         let mut t = RepairTracker::new();
         let key = 42u128;
-        assert_eq!(t.note_thrash(key, &policy), None, "burst of 1");
-        assert_eq!(t.note_thrash(key, &policy), Some(0), "earliest first");
-        // The burst counter resets after a repair: two more failures.
-        assert_eq!(t.note_thrash(key, &policy), None);
-        assert_eq!(t.note_thrash(key, &policy), Some(1), "next suspect");
-        assert_eq!(t.note_thrash(key, &policy), None);
-        assert_eq!(t.note_thrash(key, &policy), Some(2));
-        // Budget of 3 exhausted: cut off forever.
-        for _ in 0..10 {
-            assert_eq!(t.note_thrash(key, &policy), None);
+        // Each repair waits for a full burst (the counter resets after
+        // a repair); attempts walk the suspects earliest first.
+        for attempt in 0..MAX_REPAIRS {
+            for _ in 1..REPAIR_UNSAT_BURST {
+                assert_eq!(t.note_thrash(key), None, "burst below threshold");
+            }
+            assert!(!t.cut_off(key));
+            assert_eq!(t.note_thrash(key), Some(attempt), "next suspect");
         }
-        assert!(t.cut_off(key, &policy));
+        // Budget exhausted: cut off forever.
+        for _ in 0..10 {
+            assert_eq!(t.note_thrash(key), None);
+        }
+        assert!(t.cut_off(key));
         // Other prefixes are independent.
-        assert_eq!(t.note_thrash(7u128, &policy), None);
+        for _ in 1..REPAIR_UNSAT_BURST {
+            assert_eq!(t.note_thrash(7u128), None);
+        }
+        assert_eq!(t.note_thrash(7u128), Some(0), "a fresh budget");
     }
 
     #[test]
     fn repair_tracker_resets_bursts_on_progress_but_keeps_attempts() {
-        let policy = ForcedSetRepair {
-            enabled: true,
-            unsat_burst: 2,
-            max_repairs: 1,
-        };
         let mut t = RepairTracker::new();
         let key = 9u128;
-        assert_eq!(t.note_thrash(key, &policy), None);
+        for _ in 1..REPAIR_UNSAT_BURST {
+            assert_eq!(t.note_thrash(key), None);
+        }
         t.reset_bursts();
-        assert_eq!(t.note_thrash(key, &policy), None, "burst restarted");
-        assert_eq!(t.note_thrash(key, &policy), Some(0));
+        for _ in 1..REPAIR_UNSAT_BURST {
+            assert_eq!(t.note_thrash(key), None, "burst restarted");
+        }
+        assert_eq!(t.note_thrash(key), Some(0));
+        // Progress after every repair: the attempt budget does not
+        // refill, so the attempts keep counting up to the cutoff.
+        for attempt in 1..MAX_REPAIRS {
+            t.reset_bursts();
+            for _ in 1..REPAIR_UNSAT_BURST {
+                assert_eq!(t.note_thrash(key), None);
+            }
+            assert_eq!(t.note_thrash(key), Some(attempt));
+        }
         t.reset_bursts();
-        // The attempt budget (1) does not refill on progress.
-        assert_eq!(t.note_thrash(key, &policy), None);
-        assert_eq!(t.note_thrash(key, &policy), None, "cut off");
-        assert!(t.cut_off(key, &policy));
+        for _ in 0..REPAIR_UNSAT_BURST {
+            assert_eq!(t.note_thrash(key), None, "cut off");
+        }
+        assert!(t.cut_off(key));
     }
 
     #[test]
@@ -1418,16 +1476,8 @@ mod tests {
     }
 
     #[test]
-    fn repair_tracker_disabled_never_fires() {
-        let mut t = RepairTracker::new();
-        for _ in 0..20 {
-            assert_eq!(t.note_thrash(1u128, &ForcedSetRepair::disabled()), None);
-        }
-    }
-
-    #[test]
     fn offer_repair_lands_on_priority_lane_and_counts() {
-        let mut f = frontier(SearchPolicy::default());
+        let mut f = Frontier::new(SearchPolicy::default());
         f.begin_run();
         assert!(f.offer_set(set(&[1, 2, 3]), vec![], None));
         f.end_run();
@@ -1470,14 +1520,14 @@ mod tests {
             assert!(f.offer_priority_set(set(&[9]), vec![], false));
             f.end_run();
         };
-        let mut serial = frontier(policy.clone());
+        let mut serial = Frontier::new(policy.clone());
         stock(&mut serial);
         let mut serial_order = Vec::new();
         while let Some(p) = serial.pop() {
             serial_order.push(signature(&p.cs));
         }
 
-        let mut spec = frontier(policy);
+        let mut spec = Frontier::new(policy);
         stock(&mut spec);
         let mut spec_order = Vec::new();
         loop {
@@ -1522,7 +1572,7 @@ mod tests {
 
     #[test]
     fn pop_accounting_balances() {
-        let mut f = frontier(SearchPolicy::default());
+        let mut f = Frontier::new(SearchPolicy::default());
         f.begin_run();
         assert!(f.offer_set(set(&[1, 2, 3]), vec![], None));
         assert!(f.offer_set(set(&[1, 2]), vec![], None));
@@ -1548,7 +1598,7 @@ mod tests {
 
     #[test]
     fn worker_runs_merge_elementwise() {
-        let mut f = frontier(SearchPolicy::default());
+        let mut f = Frontier::new(SearchPolicy::default());
         f.note_worker_runs(&[2, 1]);
         f.note_worker_runs(&[0, 3, 4]);
         assert_eq!(f.stats().worker_runs, vec![2, 4, 4]);
@@ -1556,7 +1606,7 @@ mod tests {
             f.stats().summary().contains("worker runs [2, 4, 4]"),
             "summary mentions the split once workers ran"
         );
-        let g = frontier(SearchPolicy::default());
+        let g = Frontier::new(SearchPolicy::default());
         assert!(
             !g.stats().summary().contains("worker runs"),
             "serial summaries are unchanged"

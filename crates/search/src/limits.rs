@@ -1,13 +1,14 @@
 //! The one search budget.
 //!
 //! The concolic analysis and the log-guided replay run the same guided
-//! search, so they take the same knobs: run cap, wall clock, frontier
-//! caps, scheduling policy, worker count, prefix cache and the
-//! concretization mode of their shared shadow. [`SearchLimits`] is that
-//! budget; the two engines differ only in its defaults
-//! ([`SearchLimits::analysis`], [`SearchLimits::replay`]). The per-run
-//! fuel and the pending-set depth cap are constants, since no session
-//! varies them.
+//! search, so they take the same knobs: run cap, scheduling policy,
+//! worker count, prefix cache and the concretization mode of their
+//! shared shadow. [`SearchLimits`] is that budget; the two engines differ
+//! only in its defaults ([`SearchLimits::analysis`],
+//! [`SearchLimits::replay`]). The per-run fuel and the frontier's two
+//! caps are constants, since no session varies them. Runs, fuel and the
+//! solver's iteration cap bound a search deterministically; there is no
+//! wall-clock cap.
 
 use crate::SearchPolicy;
 
@@ -17,6 +18,10 @@ pub const FUEL_PER_RUN: u64 = 20_000_000;
 /// Pending sets longer than this many literals are skipped (too deep to
 /// solve within interactive budgets).
 pub const MAX_PENDING_LITS: usize = 4000;
+
+/// Standard pending sets a run may schedule. Bounds the
+/// otherwise-quadratic prefix copying on long paths.
+pub const MAX_PENDINGS_PER_RUN: usize = 64;
 
 /// How symbolic address components are concretized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -36,13 +41,8 @@ pub enum Concretization {
 pub struct SearchLimits {
     /// Maximum runs (path explorations / replay candidates).
     pub max_runs: usize,
-    /// Optional wall-clock cap in milliseconds (0 = none).
-    pub max_wall_ms: u64,
-    /// Pending constraint sets scheduled per run. Bounds the
-    /// otherwise-quadratic prefix copying on long paths.
-    pub max_pendings_per_run: usize,
     /// Frontier scheduling policy (strategy, per-branch quotas, drain
-    /// restarts, forced-set repair).
+    /// restarts).
     pub policy: SearchPolicy,
     /// The search driver's round width ([`crate::driver`]): each round
     /// pops up to `workers.max(1)` pending sets, solves them on that many
@@ -64,8 +64,6 @@ impl SearchLimits {
     pub fn analysis() -> Self {
         SearchLimits {
             max_runs: 64,
-            max_wall_ms: 0,
-            max_pendings_per_run: 64,
             policy: SearchPolicy::default(),
             workers: 1,
             prefix_cache: true,
@@ -80,30 +78,6 @@ impl SearchLimits {
             max_runs: 512,
             ..SearchLimits::analysis()
         }
-    }
-
-    /// Builder-style run cap.
-    pub fn with_max_runs(mut self, n: usize) -> Self {
-        self.max_runs = n;
-        self
-    }
-
-    /// Builder-style worker count.
-    pub fn with_workers(mut self, n: usize) -> Self {
-        self.workers = n;
-        self
-    }
-
-    /// Builder-style scheduling policy.
-    pub fn with_policy(mut self, policy: SearchPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Builder-style prefix-cache toggle.
-    pub fn with_prefix_cache(mut self, on: bool) -> Self {
-        self.prefix_cache = on;
-        self
     }
 }
 
@@ -125,18 +99,5 @@ mod tests {
         assert_eq!(r.max_runs, 512);
         assert_eq!(SearchLimits { max_runs: 64, ..r }, a);
         assert_eq!(SearchLimits::default(), SearchLimits::analysis());
-    }
-
-    #[test]
-    fn builders_compose() {
-        let l = SearchLimits::analysis()
-            .with_max_runs(7)
-            .with_workers(4)
-            .with_policy(SearchPolicy::explorer())
-            .with_prefix_cache(false);
-        assert_eq!(l.max_runs, 7);
-        assert_eq!(l.workers, 4);
-        assert_eq!(l.policy, SearchPolicy::explorer());
-        assert!(!l.prefix_cache);
     }
 }

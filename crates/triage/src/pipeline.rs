@@ -209,11 +209,6 @@ impl TriageOutcome {
         self.ledger.reports as f64 / self.classes.len() as f64
     }
 
-    /// The headline metric: reports triaged per second of wall clock.
-    pub fn reports_per_sec(&self) -> f64 {
-        self.ledger.reports as f64 / (self.wall_ms.max(1) as f64 / 1e3)
-    }
-
     /// The deterministic metric rows, one per class.
     pub fn rows(&self) -> Vec<TriageRow> {
         self.classes.iter().map(|c| c.row.clone()).collect()
