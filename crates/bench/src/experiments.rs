@@ -151,7 +151,7 @@ pub fn replay_one(
 
 /// One generation of the adaptive instrumentation loop: the plan that
 /// was deployed, its deployment-side spend columns and the replay
-/// outcome (whose [`replay::EscalationReport`] seeds the next
+/// outcome (whose [`instrument::EscalationReport`] seeds the next
 /// generation).
 pub struct AdaptiveGen {
     /// The generation's plan (carries `plan.generation`).

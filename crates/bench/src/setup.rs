@@ -4,7 +4,7 @@
 //! inputs so that every table/figure binary measures the same setups.
 
 use concolic::{ArgSpec, ClientSpec, FileSpec, InputSpec};
-use oskit::{KernelConfig, SignalPlan};
+use oskit::SignalPlan;
 use progs::Program;
 use replay::InputParts;
 use retrace_core::Workbench;
@@ -238,10 +238,4 @@ pub fn diff_experiment(id: usize) -> Experiment {
         wb,
         parts,
     }
-}
-
-/// Base kernel with the coreutil experiment environments, exposed for
-/// binaries needing a matching `KernelConfig`.
-pub fn default_kernel() -> KernelConfig {
-    KernelConfig::default()
 }

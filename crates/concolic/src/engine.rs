@@ -302,7 +302,7 @@ impl GuidedEngine for Analysis<'_, '_> {
 mod tests {
     use super::*;
     use crate::input::InputSpec;
-    use crate::label::BranchLabel;
+    use instrument::DynLabel;
     use minic::build;
 
     fn analyze(src: &str, spec: InputSpec, max_runs: usize) -> AnalysisResult {
@@ -325,7 +325,7 @@ mod tests {
         let r = Engine::new(&cp, cfg).analyze();
         // Both directions need at least two runs; the branch is symbolic.
         assert!(r.runs >= 2);
-        assert_eq!(r.labels.count(BranchLabel::Symbolic), 1);
+        assert_eq!(r.labels.count(DynLabel::Symbolic), 1);
         assert!(r.frontier.solved_sat >= 1);
     }
 
@@ -368,8 +368,8 @@ mod tests {
         "#;
         let r = analyze(src, InputSpec::argv_symbolic("p", 1, 2), 16);
         assert_eq!(r.runs, 1, "no symbolic branches, nothing to explore");
-        assert_eq!(r.labels.count(BranchLabel::Symbolic), 0);
-        assert_eq!(r.labels.count(BranchLabel::Concrete), 2);
+        assert_eq!(r.labels.count(DynLabel::Symbolic), 0);
+        assert_eq!(r.labels.count(DynLabel::Concrete), 2);
     }
 
     #[test]
@@ -393,11 +393,11 @@ mod tests {
         "#;
         let small = analyze(src, InputSpec::argv_symbolic("p", 1, 3), 2);
         let large = analyze(src, InputSpec::argv_symbolic("p", 1, 3), 32);
-        let visited_small = small.labels.len() - small.labels.count(BranchLabel::Unvisited);
-        let visited_large = large.labels.len() - large.labels.count(BranchLabel::Unvisited);
+        let visited_small = small.labels.len() - small.labels.count(DynLabel::Unvisited);
+        let visited_large = large.labels.len() - large.labels.count(DynLabel::Unvisited);
         assert!(visited_large >= visited_small);
         assert_eq!(
-            large.labels.count(BranchLabel::Unvisited),
+            large.labels.count(DynLabel::Unvisited),
             0,
             "full budget visits every branch"
         );
@@ -422,8 +422,8 @@ mod tests {
         // flow tainting (what concolic engines track) leaves it concrete,
         // so the `if` stays concrete. This under-approximation is exactly
         // why the paper's dynamic method can miss symbolic branches.
-        assert_eq!(r.labels.count(BranchLabel::Symbolic), 1);
-        assert_eq!(r.labels.count(BranchLabel::Concrete), 1);
+        assert_eq!(r.labels.count(DynLabel::Symbolic), 1);
+        assert_eq!(r.labels.count(DynLabel::Concrete), 1);
     }
 
     #[test]
@@ -501,7 +501,7 @@ mod tests {
             cfg.budget.policy = search::SearchPolicy::explorer();
             let r = Engine::new(&cp, cfg).analyze();
             assert_eq!(
-                r.labels.count(BranchLabel::Unvisited),
+                r.labels.count(DynLabel::Unvisited),
                 0,
                 "breadth-mixed search still reaches every branch"
             );

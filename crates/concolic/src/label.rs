@@ -4,39 +4,30 @@
 //! the first execution labels it `Concrete` or `Symbolic` depending on
 //! whether its condition depended on input; a `Concrete` branch is
 //! *upgraded* to `Symbolic` if a later execution has a symbolic
-//! condition; `Symbolic` never downgrades.
+//! condition; `Symbolic` never downgrades. The label type is the plan
+//! layer's [`DynLabel`]: the analysis writes the labels that
+//! `instrument::Plan::build` reads.
 
+use instrument::DynLabel;
 use minic::BranchId;
 use serde::{Deserialize, Serialize};
-
-/// Dynamic-analysis label of one branch location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum BranchLabel {
-    /// Never executed during the analysis budget.
-    #[default]
-    Unvisited,
-    /// Executed, never with a symbolic condition.
-    Concrete,
-    /// Executed with a symbolic condition at least once.
-    Symbolic,
-}
 
 /// Labels for every branch location of a program.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LabelMap {
-    labels: Vec<BranchLabel>,
+    labels: Vec<DynLabel>,
 }
 
 impl LabelMap {
     /// All-unvisited map for `n` branch locations.
     pub fn new(n: usize) -> Self {
         LabelMap {
-            labels: vec![BranchLabel::Unvisited; n],
+            labels: vec![DynLabel::Unvisited; n],
         }
     }
 
     /// The label of a branch.
-    pub fn get(&self, b: BranchId) -> BranchLabel {
+    pub fn get(&self, b: BranchId) -> DynLabel {
         self.labels[b.0 as usize]
     }
 
@@ -45,9 +36,9 @@ impl LabelMap {
     pub fn observe(&mut self, b: BranchId, symbolic: bool) {
         let slot = &mut self.labels[b.0 as usize];
         *slot = match (*slot, symbolic) {
-            (_, true) => BranchLabel::Symbolic,
-            (BranchLabel::Symbolic, false) => BranchLabel::Symbolic,
-            (_, false) => BranchLabel::Concrete,
+            (_, true) => DynLabel::Symbolic,
+            (DynLabel::Symbolic, false) => DynLabel::Symbolic,
+            (_, false) => DynLabel::Concrete,
         };
     }
 
@@ -55,9 +46,9 @@ impl LabelMap {
     pub fn merge(&mut self, other: &LabelMap) {
         for (i, l) in other.labels.iter().enumerate() {
             match l {
-                BranchLabel::Unvisited => {}
-                BranchLabel::Concrete => self.observe(BranchId(i as u32), false),
-                BranchLabel::Symbolic => self.observe(BranchId(i as u32), true),
+                DynLabel::Unvisited => {}
+                DynLabel::Concrete => self.observe(BranchId(i as u32), false),
+                DynLabel::Symbolic => self.observe(BranchId(i as u32), true),
             }
         }
     }
@@ -73,7 +64,7 @@ impl LabelMap {
     }
 
     /// Iterator over `(BranchId, label)`.
-    pub fn iter(&self) -> impl Iterator<Item = (BranchId, BranchLabel)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (BranchId, DynLabel)> + '_ {
         self.labels
             .iter()
             .enumerate()
@@ -81,7 +72,7 @@ impl LabelMap {
     }
 
     /// Count of branches with the given label.
-    pub fn count(&self, label: BranchLabel) -> usize {
+    pub fn count(&self, label: DynLabel) -> usize {
         self.labels.iter().filter(|l| **l == label).count()
     }
 
@@ -91,7 +82,7 @@ impl LabelMap {
         if self.labels.is_empty() {
             return 0.0;
         }
-        let visited = self.len() - self.count(BranchLabel::Unvisited);
+        let visited = self.len() - self.count(DynLabel::Unvisited);
         visited as f64 * 100.0 / self.labels.len() as f64
     }
 }
@@ -159,13 +150,13 @@ mod tests {
     fn labels_upgrade_but_never_downgrade() {
         let mut m = LabelMap::new(2);
         let b = BranchId(0);
-        assert_eq!(m.get(b), BranchLabel::Unvisited);
+        assert_eq!(m.get(b), DynLabel::Unvisited);
         m.observe(b, false);
-        assert_eq!(m.get(b), BranchLabel::Concrete);
+        assert_eq!(m.get(b), DynLabel::Concrete);
         m.observe(b, true);
-        assert_eq!(m.get(b), BranchLabel::Symbolic);
+        assert_eq!(m.get(b), DynLabel::Symbolic);
         m.observe(b, false);
-        assert_eq!(m.get(b), BranchLabel::Symbolic, "no downgrade");
+        assert_eq!(m.get(b), DynLabel::Symbolic, "no downgrade");
     }
 
     #[test]
@@ -177,9 +168,9 @@ mod tests {
         b.observe(BranchId(0), true);
         b.observe(BranchId(2), false);
         a.merge(&b);
-        assert_eq!(a.get(BranchId(0)), BranchLabel::Symbolic);
-        assert_eq!(a.get(BranchId(1)), BranchLabel::Symbolic);
-        assert_eq!(a.get(BranchId(2)), BranchLabel::Concrete);
+        assert_eq!(a.get(BranchId(0)), DynLabel::Symbolic);
+        assert_eq!(a.get(BranchId(1)), DynLabel::Symbolic);
+        assert_eq!(a.get(BranchId(2)), DynLabel::Concrete);
     }
 
     #[test]

@@ -19,6 +19,6 @@ pub use engine::{AnalysisResult, Engine, FoundCrash, RunRecord, SessionConfig};
 pub use input::{
     realize, realize_streams, ArgSpec, ClientSpec, FileSpec, InputSpec, InputVars, Streams,
 };
-pub use label::{BranchLabel, LabelMap, Profile};
+pub use label::{LabelMap, Profile};
 pub use search::Concretization;
 pub use shadow::{mark_argv_symbolic, PathStep, Shadow, StepOrigin, SymHost, SymV};

@@ -551,7 +551,7 @@ mod tests {
         assert_eq!(out, RunOutcome::Exited(1));
         assert_eq!(host.shadow.path.len(), 1);
         assert!(host.shadow.path[0].taken);
-        assert_eq!(host.labels.count(crate::label::BranchLabel::Symbolic), 1);
+        assert_eq!(host.labels.count(instrument::DynLabel::Symbolic), 1);
         // The literal must be (in0 == 97).
         assert_eq!(
             host.shadow
@@ -572,8 +572,8 @@ mod tests {
         "#;
         let (_, host) = run_symbolic(src, vec![b"p".to_vec(), b"a".to_vec()], &[1]);
         assert!(host.shadow.path.is_empty());
-        assert_eq!(host.labels.count(crate::label::BranchLabel::Concrete), 1);
-        assert_eq!(host.labels.count(crate::label::BranchLabel::Symbolic), 0);
+        assert_eq!(host.labels.count(instrument::DynLabel::Concrete), 1);
+        assert_eq!(host.labels.count(instrument::DynLabel::Symbolic), 0);
     }
 
     #[test]

@@ -23,10 +23,9 @@ pub mod metrics;
 pub mod pipeline;
 
 pub use concolic::Concretization;
-pub use instrument::{escalate, EscalationHints, PlanBuilder};
+pub use instrument::{escalate, EscalationReport, LocationEscalation};
 pub use metrics::{LocationRow, Overhead, ReplayRow, TriageRow};
 pub use pipeline::{to_dyn_labels, AnalysisBundle, LoggedRun, Workbench};
-pub use replay::{EscalationReport, LocationEscalation};
 pub use search::{FrontierStats, SearchLimits, SearchPolicy, Strategy};
 // The one documented home of the golden-ratio seed-mixing helper (the
 // engines' per-call solver seeds and restart seeds all derive through

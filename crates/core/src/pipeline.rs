@@ -15,12 +15,9 @@
 
 use crate::metrics::Overhead;
 use concolic::{
-    realize, AnalysisResult, BranchLabel, Concretization, Engine, InputSpec, InputVars, Profile,
-    SessionConfig,
+    realize, AnalysisResult, Concretization, Engine, InputSpec, InputVars, Profile, SessionConfig,
 };
-use instrument::{
-    BugReport, DynLabel, LiteralClusterHint, LogFormat, LoggingHost, Method, Plan, PlanBuilder,
-};
+use instrument::{BugReport, DynLabel, EscalationReport, LogFormat, LoggingHost, Method, Plan};
 use minic::cost::Meter;
 use minic::vm::{RunOutcome, Vm};
 use minic::{CompiledProgram, UnitId};
@@ -43,14 +40,11 @@ fn realize_assignment(
     realize(spec, &InputVars::layout(spec, 0), assignment, kernel)
 }
 
-/// Converts the concolic engine's labels to the instrumentation layer's.
+/// The concolic engine's labels as one vector, indexed by `BranchId`
+/// over every branch location of `cp`.
 pub fn to_dyn_labels(cp: &CompiledProgram, labels: &concolic::LabelMap) -> Vec<DynLabel> {
     (0..cp.n_branches())
-        .map(|i| match labels.get(minic::BranchId(i as u32)) {
-            BranchLabel::Unvisited => DynLabel::Unvisited,
-            BranchLabel::Concrete => DynLabel::Concrete,
-            BranchLabel::Symbolic => DynLabel::Symbolic,
-        })
+        .map(|i| labels.get(minic::BranchId(i as u32)))
         .collect()
 }
 
@@ -201,14 +195,13 @@ impl Workbench {
     /// combined-row ∞). All other methods keep the paper's flat format
     /// bit for bit.
     pub fn plan(&self, method: Method, bundle: &AnalysisBundle) -> Plan {
-        PlanBuilder::new(
+        Plan::build(
             method,
             &bundle.dyn_labels,
             &bundle.static_symbolic,
             self.cp.n_branches(),
         )
-        .cursor_opt_in(&self.cp.prog.ast.branches)
-        .build()
+        .opt_into_cursors(&self.cp.prog.ast.branches)
     }
 
     /// Like [`plan`](Workbench::plan), but additionally suppresses every
@@ -219,20 +212,14 @@ impl Workbench {
     /// cluster check sees the post-suppression logged set (a suppressed
     /// loop is deterministically reconstructable, hence not fragile).
     pub fn plan_suppressed(&self, method: Method, bundle: &AnalysisBundle) -> Plan {
-        PlanBuilder::new(
+        Plan::build(
             method,
             &bundle.dyn_labels,
             &bundle.static_symbolic,
             self.cp.n_branches(),
         )
-        .suppress(
-            bundle
-                .implications
-                .iter()
-                .map(|(b, i)| (b, i.by, i.negated)),
-        )
-        .cursor_opt_in(&self.cp.prog.ast.branches)
-        .build()
+        .suppress(bundle.implications.iter())
+        .opt_into_cursors(&self.cp.prog.ast.branches)
     }
 
     /// Produces the next instrumentation-plan generation from replay's
@@ -243,15 +230,8 @@ impl Workbench {
     /// at a string-scan cluster arm multi-byte literal forcing. With an
     /// empty report this returns `parent` unchanged — deploy gen-2 only
     /// when replay actually struggled.
-    pub fn escalate_plan(&self, parent: &Plan, report: &replay::EscalationReport) -> Plan {
-        let clusters: Vec<LiteralClusterHint> = staticax::literal_clusters(&self.cp)
-            .into_iter()
-            .map(|c| LiteralClusterHint {
-                branches: c.branches,
-                literals: c.literals,
-            })
-            .collect();
-        instrument::escalate(parent, &report.hints(), &clusters)
+    pub fn escalate_plan(&self, parent: &Plan, report: &EscalationReport) -> Plan {
+        instrument::escalate(parent, report, &staticax::literal_clusters(&self.cp))
     }
 
     fn realize_deployment(&self, parts: &InputParts) -> (Vec<Vec<u8>>, KernelConfig) {

@@ -11,29 +11,33 @@
 //! and activates the two ROADMAP escalation rules — syscall-anchored
 //! cursor checkpoints and multi-byte string-literal forcing — when the
 //! evidence calls for them.
+//!
+//! Both inputs are defined here, in the plan layer: `replay` fills in
+//! an [`EscalationReport`] and `staticax::literal_clusters` returns
+//! [`LiteralCluster`]s, and [`escalate`] reads both as they are.
 
 use crate::plan::{LogFormat, Plan};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Per-branch-location escalation counters, as the plan layer consumes
-/// them.
-///
-/// Mirror of `replay::LocationEscalation`, duplicated here so the plan
-/// layer stays independent of the replay crate (hints can come from a
-/// live replay, a triage fleet merge, or a hand-written test).
+/// Per-branch-location escalation evidence from one replay session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LocationHint {
-    /// Repair-ladder activations attributed to this location.
+pub struct LocationEscalation {
+    /// Repair-ladder activations keyed to this location's cursor
+    /// stalls: each one is a burst of UNSAT forced sets the search
+    /// spent real solver budget on.
     pub repair_bursts: u64,
-    /// Per-location cursor overruns (and checkpoint divergences) here.
+    /// Per-location stream overrun aborts at this location (including
+    /// syscall-anchored checkpoint divergences, which are the same
+    /// resynchronization signal caught earlier).
     pub cursor_overruns: u64,
-    /// Syscall-order divergences whose prime suspect was this location.
+    /// Syscall-order divergences whose prime suspect (the most recent
+    /// unlogged symbolic decision) was this location.
     pub syscall_divergences: u64,
-    /// UNSAT forced sets keyed to this location.
+    /// UNSAT verdicts on forced sets keyed to this location.
     pub forced_failures: u64,
 }
 
-impl LocationHint {
+impl LocationEscalation {
     /// True when any counter fired — the "hot location" predicate.
     pub fn is_hot(&self) -> bool {
         self.repair_bursts + self.cursor_overruns + self.syscall_divergences + self.forced_failures
@@ -49,50 +53,62 @@ impl LocationHint {
     }
 }
 
-/// Replay evidence aggregated over one or more sessions, keyed by
-/// branch location.
+/// The escalation evidence of one replay session, keyed by branch
+/// location. Replay fills it in (`replay::ReplayResult::escalation`);
+/// [`escalate`] reads it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EscalationHints {
-    /// Counters per branch location (only locations with signals).
-    pub per_loc: BTreeMap<u32, LocationHint>,
-    /// Locations whose shipped bits at least one run consumed.
+pub struct EscalationReport {
+    /// Evidence per branch location; only locations with at least one
+    /// signal appear.
+    pub per_loc: BTreeMap<u32, LocationEscalation>,
+    /// Locations whose shipped log bits were consumed by at least one
+    /// run — the complement (instrumented but never consulted) is what
+    /// the next generation drops.
     pub consulted: BTreeSet<u32>,
-    /// Replay runs the evidence covers; 0 means "no evidence", and
-    /// [`escalate`] then returns the parent unchanged.
-    pub observed_runs: u64,
+    /// Replay runs the evidence was gathered over; 0 means "no
+    /// evidence", and [`escalate`] then returns the parent unchanged.
+    pub runs: usize,
 }
 
-impl EscalationHints {
+impl EscalationReport {
     /// True when there is nothing to act on: no hot location, no
     /// consulted-set knowledge, no observed runs.
     pub fn is_empty(&self) -> bool {
-        self.per_loc.values().all(|l| !l.is_hot())
-            && self.consulted.is_empty()
-            && self.observed_runs == 0
+        self.per_loc.values().all(|l| !l.is_hot()) && self.consulted.is_empty() && self.runs == 0
     }
 
-    /// The mutable counter slot for `loc`.
-    pub fn loc_mut(&mut self, loc: u32) -> &mut LocationHint {
+    /// The mutable per-location slot for `loc`.
+    pub fn loc_mut(&mut self, loc: u32) -> &mut LocationEscalation {
         self.per_loc.entry(loc).or_default()
+    }
+
+    /// Locations with at least one escalation signal, ascending.
+    pub fn hot_locations(&self) -> Vec<u32> {
+        self.per_loc
+            .iter()
+            .filter(|(_, e)| e.is_hot())
+            .map(|(loc, _)| *loc)
+            .collect()
     }
 }
 
 /// A `strcmp`/scan-loop cluster candidate from the static side: the
-/// branch locations of one comparison loop plus the string literals the
-/// enclosing call site compares against. Produced by
-/// `staticax::literal_clusters`; consumed by [`escalate`] to decide
-/// where multi-byte forcing is worth registering.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LiteralClusterHint {
-    /// Branch locations belonging to the comparison loop.
+/// branch locations of one comparison loop plus the string literals its
+/// call sites compare against. Produced by `staticax::literal_clusters`;
+/// consumed by [`escalate`] to decide where multi-byte forcing is worth
+/// registering.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LiteralCluster {
+    /// Branch locations belonging to the comparison loop, ascending.
     pub branches: Vec<u32>,
-    /// Candidate literals (whole byte strings) compared at the site.
+    /// Distinct candidate literals (whole byte strings, length ≥ 2)
+    /// compared at the site, in first-seen order.
     pub literals: Vec<Vec<u8>>,
 }
 
 /// Derives the next plan generation from replay evidence.
 ///
-/// With empty `hints` this is the identity: the returned plan is
+/// With an empty `report` this is the identity: the returned plan is
 /// byte-identical to `parent` (same generation — nothing observed,
 /// nothing learned). Otherwise the new plan:
 ///
@@ -105,7 +121,7 @@ pub struct LiteralClusterHint {
 /// 3. drops locations that were instrumented but never consulted by any
 ///    observed run and are not hot themselves — paying for bits nobody
 ///    reads is exactly the §2.3 imbalance this loop exists to fix
-///    (skipped when `observed_runs == 0`: absence of evidence is not
+///    (skipped when `runs == 0`: absence of evidence is not
 ///    evidence of absence),
 /// 4. turns on syscall-anchored cursor [`Plan::checkpoints`] when any
 ///    cursor overrun or syscall divergence was seen (and the plan logs
@@ -117,8 +133,8 @@ pub struct LiteralClusterHint {
 ///    every cluster whose branches replay consulted (the comparison
 ///    loop a literal flows through usually sits one call away from the
 ///    scan loop that takes the divergence blame).
-pub fn escalate(parent: &Plan, hints: &EscalationHints, clusters: &[LiteralClusterHint]) -> Plan {
-    if hints.is_empty() {
+pub fn escalate(parent: &Plan, report: &EscalationReport, clusters: &[LiteralCluster]) -> Plan {
+    if report.is_empty() {
         return parent.clone();
     }
     let mut plan = parent.clone();
@@ -127,7 +143,7 @@ pub fn escalate(parent: &Plan, hints: &EscalationHints, clusters: &[LiteralClust
 
     // (1) + (2): add bits at hot locations; any hot location upgrades
     // the format.
-    let hot: BTreeSet<u32> = hints
+    let hot: BTreeSet<u32> = report
         .per_loc
         .iter()
         .filter(|(_, h)| h.is_hot())
@@ -148,17 +164,17 @@ pub fn escalate(parent: &Plan, hints: &EscalationHints, clusters: &[LiteralClust
 
     // (3): drop never-consulted cold bits, but only when runs were
     // actually observed reading the log.
-    if hints.observed_runs > 0 {
+    if report.runs > 0 {
         for (i, on) in plan.instrumented.iter_mut().enumerate() {
             let loc = i as u32;
-            if *on && !hints.consulted.contains(&loc) && !hot.contains(&loc) {
+            if *on && !report.consulted.contains(&loc) && !hot.contains(&loc) {
                 *on = false;
             }
         }
     }
 
     // (4): syscall-anchored cursor checkpoints.
-    let resync_signals: u64 = hints
+    let resync_signals: u64 = report
         .per_loc
         .values()
         .map(|h| h.cursor_overruns + h.syscall_divergences)
@@ -180,7 +196,7 @@ pub fn escalate(parent: &Plan, hints: &EscalationHints, clusters: &[LiteralClust
     // grind only (bursts + forced UNSATs): cursor overruns alone are a
     // resync signal — checkpoints territory — and sessions showing
     // nothing else converge fine without speculative pins.
-    let pathology: u64 = hints
+    let pathology: u64 = report
         .per_loc
         .values()
         .map(|h| h.repair_bursts + h.forced_failures)
@@ -191,12 +207,15 @@ pub fn escalate(parent: &Plan, hints: &EscalationHints, clusters: &[LiteralClust
     }
     for cluster in clusters {
         let fires = cluster.branches.iter().any(|b| {
-            hints
+            report
                 .per_loc
                 .get(b)
                 .is_some_and(|h| h.suggests_literal_forcing())
         }) || (pathology > 0
-            && cluster.branches.iter().any(|b| hints.consulted.contains(b)));
+            && cluster
+                .branches
+                .iter()
+                .any(|b| report.consulted.contains(b)));
         if !fires {
             continue;
         }
@@ -218,7 +237,6 @@ pub fn escalate(parent: &Plan, hints: &EscalationHints, clusters: &[LiteralClust
 mod tests {
     use super::*;
     use crate::plan::{DynLabel, Method, Suppressed};
-    use crate::PlanBuilder;
     use minic::BranchId;
 
     const DYNAMIC: [DynLabel; 6] = [
@@ -237,27 +255,47 @@ mod tests {
     }
 
     #[test]
+    fn report_is_empty_until_it_holds_evidence() {
+        let mut r = EscalationReport::default();
+        assert!(r.is_empty());
+        // A present but cold entry is no evidence.
+        r.per_loc.insert(4, LocationEscalation::default());
+        assert!(r.is_empty());
+        r.loc_mut(7).cursor_overruns = 2;
+        r.loc_mut(5).repair_bursts = 1;
+        assert!(!r.is_empty());
+        assert_eq!(r.hot_locations(), vec![5, 7]);
+        // Observed runs alone are evidence: escalation may drop the
+        // bits they never read.
+        let runs_only = EscalationReport {
+            runs: 1,
+            ..EscalationReport::default()
+        };
+        assert!(!runs_only.is_empty());
+    }
+
+    #[test]
     fn empty_hints_are_the_identity() {
         let p = base_plan();
-        let q = escalate(&p, &EscalationHints::default(), &[]);
+        let q = escalate(&p, &EscalationReport::default(), &[]);
         assert_eq!(p, q);
         assert_eq!(q.generation, 1);
         // Even with clusters on offer: no evidence, no change.
-        let cluster = LiteralClusterHint {
+        let cluster = LiteralCluster {
             branches: vec![0],
             literals: vec![b"GET ".to_vec()],
         };
-        assert_eq!(escalate(&p, &EscalationHints::default(), &[cluster]), p);
+        assert_eq!(escalate(&p, &EscalationReport::default(), &[cluster]), p);
     }
 
     #[test]
     fn hot_location_gains_bits_and_upgrades_format() {
         let p = base_plan();
         assert!(!p.covers(BranchId(3)));
-        let mut h = EscalationHints::default();
+        let mut h = EscalationReport::default();
         h.loc_mut(3).syscall_divergences = 2;
         h.consulted.extend([0, 1, 4]);
-        h.observed_runs = 12;
+        h.runs = 12;
         let q = escalate(&p, &h, &[]);
         assert_eq!(q.generation, 2);
         assert!(q.covers(BranchId(3)));
@@ -270,17 +308,17 @@ mod tests {
     #[test]
     fn never_consulted_cold_bits_are_dropped_only_with_observed_runs() {
         let p = base_plan();
-        let mut h = EscalationHints::default();
+        let mut h = EscalationReport::default();
         h.loc_mut(3).cursor_overruns = 1;
         h.consulted.extend([0, 4]); // 1 was shipped but never read
-        h.observed_runs = 5;
+        h.runs = 5;
         let q = escalate(&p, &h, &[]);
         assert!(!q.covers(BranchId(1)), "unread bit must be dropped");
         assert!(q.covers(BranchId(0)) && q.covers(BranchId(4)));
 
         // Same hints but zero observed runs: nothing is dropped.
         let mut h0 = h.clone();
-        h0.observed_runs = 0;
+        h0.runs = 0;
         h0.consulted.clear();
         let q0 = escalate(&p, &h0, &[]);
         assert!(q0.covers(BranchId(1)));
@@ -288,9 +326,13 @@ mod tests {
 
     #[test]
     fn hot_suppressed_branch_is_logged_directly_again() {
-        let p = PlanBuilder::new(Method::DynamicStatic, &DYNAMIC, &STATIC, 6)
-            .suppress([(BranchId(4), BranchId(0), false)])
-            .build();
+        let p = base_plan().suppress([(
+            BranchId(4),
+            Suppressed {
+                by: BranchId(0),
+                negated: false,
+            },
+        )]);
         assert_eq!(
             p.suppresses(BranchId(4)),
             Some(Suppressed {
@@ -298,10 +340,10 @@ mod tests {
                 negated: false
             })
         );
-        let mut h = EscalationHints::default();
+        let mut h = EscalationReport::default();
         h.loc_mut(4).repair_bursts = 3;
         h.consulted.extend([0]);
-        h.observed_runs = 2;
+        h.runs = 2;
         let q = escalate(&p, &h, &[]);
         assert!(q.covers(BranchId(4)));
         assert_eq!(q.suppresses(BranchId(4)), None);
@@ -311,17 +353,17 @@ mod tests {
     fn checkpoints_require_resync_signal_syscall_logging_and_per_location() {
         let p = base_plan();
         // Resync signal → checkpoints on (format upgraded by the hot loc).
-        let mut h = EscalationHints::default();
+        let mut h = EscalationReport::default();
         h.loc_mut(0).cursor_overruns = 1;
         h.consulted.extend([0, 1, 4]);
-        h.observed_runs = 3;
+        h.runs = 3;
         assert!(escalate(&p, &h, &[]).checkpoints);
 
         // Pure solver-side signals (forced UNSATs) do not anchor cursors.
-        let mut h2 = EscalationHints::default();
+        let mut h2 = EscalationReport::default();
         h2.loc_mut(0).forced_failures = 4;
         h2.consulted.extend([0, 1, 4]);
-        h2.observed_runs = 3;
+        h2.runs = 3;
         assert!(!escalate(&p, &h2, &[]).checkpoints);
 
         // No syscall logging → nothing to anchor to.
@@ -333,19 +375,19 @@ mod tests {
     fn literal_forcing_fires_only_on_burst_clusters() {
         let p = base_plan();
         let clusters = vec![
-            LiteralClusterHint {
+            LiteralCluster {
                 branches: vec![2], // neither hot nor consulted
                 literals: vec![b"POST".to_vec()],
             },
-            LiteralClusterHint {
+            LiteralCluster {
                 branches: vec![4, 5],
                 literals: vec![b"Host:".to_vec(), b"GET".to_vec()],
             },
         ];
-        let mut h = EscalationHints::default();
+        let mut h = EscalationReport::default();
         h.loc_mut(4).repair_bursts = 2; // fires the second cluster only
         h.consulted.extend([0, 4]);
-        h.observed_runs = 7;
+        h.runs = 7;
         let q = escalate(&p, &h, &clusters);
         assert!(q.forced_literals_at(2).is_empty());
         assert_eq!(q.forced_literals_at(4).len(), 2);
@@ -357,15 +399,15 @@ mod tests {
     #[test]
     fn consulted_clusters_fire_once_the_pathology_is_visible_anywhere() {
         let p = base_plan();
-        let clusters = vec![LiteralClusterHint {
+        let clusters = vec![LiteralCluster {
             branches: vec![1], // consulted, but never itself blamed
             literals: vec![b"Cookie:".to_vec()],
         }];
         // Divergence blame lands on a scan loop elsewhere (loc 3)...
-        let mut h = EscalationHints::default();
+        let mut h = EscalationReport::default();
         h.loc_mut(3).repair_bursts = 5;
         h.consulted.extend([0, 1]);
-        h.observed_runs = 40;
+        h.runs = 40;
         // ...and the consulted comparison cluster still gets its
         // literals forced.
         let q = escalate(&p, &h, &clusters);
@@ -373,10 +415,10 @@ mod tests {
 
         // Without any pathology signal (a pure syscall-divergence
         // session), consulted alone does not force.
-        let mut calm = EscalationHints::default();
+        let mut calm = EscalationReport::default();
         calm.loc_mut(3).syscall_divergences = 2;
         calm.consulted.extend([0, 1]);
-        calm.observed_runs = 40;
+        calm.runs = 40;
         let q2 = escalate(&p, &calm, &clusters);
         assert!(q2.forced_literals_at(1).is_empty());
     }
@@ -422,11 +464,11 @@ mod tests {
                     checkpoints,
                     forced_literals: vec![(lit_loc, vec![lit.clone()])],
                 };
-                let clusters = vec![LiteralClusterHint {
+                let clusters = vec![LiteralCluster {
                     branches: cluster_branches,
                     literals: vec![lit],
                 }];
-                let child = escalate(&parent, &EscalationHints::default(), &clusters);
+                let child = escalate(&parent, &EscalationReport::default(), &clusters);
                 prop_assert_eq!(&child, &parent);
                 // Byte-identical on the wire too, not just `Eq`.
                 let wire_parent = serde_json::to_string(&parent).expect("serializes");
@@ -439,23 +481,23 @@ mod tests {
     #[test]
     fn escalating_twice_accumulates_generations_and_keeps_literals() {
         let p = base_plan();
-        let clusters = vec![LiteralClusterHint {
+        let clusters = vec![LiteralCluster {
             branches: vec![1],
             literals: vec![b"GET ".to_vec()],
         }];
-        let mut h = EscalationHints::default();
+        let mut h = EscalationReport::default();
         h.loc_mut(1).forced_failures = 1;
         h.consulted.extend([0, 1, 4]);
-        h.observed_runs = 4;
+        h.runs = 4;
         let g2 = escalate(&p, &h, &clusters);
         assert_eq!(g2.generation, 2);
         assert_eq!(g2.forced_literals_at(1), &[b"GET ".to_vec()]);
         // Second escalation with different (non-cluster) evidence keeps
         // the registered literals and bumps again, without duplicating.
-        let mut h2 = EscalationHints::default();
+        let mut h2 = EscalationReport::default();
         h2.loc_mut(3).syscall_divergences = 1;
         h2.consulted.extend([0, 1, 4]);
-        h2.observed_runs = 4;
+        h2.runs = 4;
         let g3 = escalate(&g2, &h2, &clusters);
         assert_eq!(g3.generation, 3);
         assert_eq!(g3.forced_literals_at(1), &[b"GET ".to_vec()]);

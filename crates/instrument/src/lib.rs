@@ -6,6 +6,11 @@
 //! - [`Plan`]: which branch locations are logged, per the four methods
 //!   (`dynamic`, `static`, `dynamic+static`, `all branches`), plus the
 //!   log-format decision ([`LogFormat`]);
+//! - the plan's inputs, defined here and built directly by their
+//!   producers: [`DynLabel`] (written by `concolic`), [`Suppressed`] and
+//!   [`LiteralCluster`] (from `staticax`) and [`EscalationReport`]
+//!   (filled in by `replay`, read by [`escalate()`]). This crate
+//!   depends on no analysis or search crate;
 //! - [`BitLog`]/[`BranchTrace`]: the flat bit-per-branch log with 4 KiB
 //!   buffered flushing and its 17-instruction per-branch cost;
 //! - [`CursorLog`]/[`CursorTrace`]: the per-branch-location log-format
@@ -19,7 +24,6 @@
 //! - [`compress`]: transfer-time LZSS compression (the gzip 10–20×
 //!   observation).
 
-pub mod builder;
 pub mod compress;
 pub mod escalate;
 pub mod host;
@@ -27,8 +31,7 @@ pub mod logger;
 pub mod plan;
 pub mod syscall_log;
 
-pub use builder::PlanBuilder;
-pub use escalate::{escalate, EscalationHints, LiteralClusterHint, LocationHint};
+pub use escalate::{escalate, EscalationReport, LiteralCluster, LocationEscalation};
 pub use host::{BranchLogger, BugReport, LoggingHost};
 pub use logger::{BitLog, BranchTrace, CursorLog, CursorTrace, LocStream, TraceCursor, TraceLog};
 pub use plan::{DynLabel, LogFormat, Method, Plan, Suppressed};

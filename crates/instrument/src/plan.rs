@@ -12,19 +12,17 @@ use minic::{BranchId, BranchInfo, BranchKind};
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
-/// Dynamic-analysis labels as the instrumentation layer consumes them.
-///
-/// Mirror of `concolic::BranchLabel`, duplicated here so `instrument`
-/// does not depend on the analysis crates (plans can be built from any
-/// label source, including hand-written ones in tests).
+/// Dynamic-analysis label of one branch location (§2.1). The concolic
+/// analysis (`concolic::LabelMap`) writes these; [`Plan::build`] reads
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum DynLabel {
-    /// Not visited by the dynamic analysis.
+    /// Never executed during the analysis budget.
     #[default]
     Unvisited,
-    /// Visited, never input-dependent.
+    /// Executed, never with a symbolic condition.
     Concrete,
-    /// Visited and input-dependent.
+    /// Executed with a symbolic condition at least once.
     Symbolic,
 }
 
@@ -81,8 +79,7 @@ pub enum LogFormat {
 /// Why a branch location's log bit is suppressed: its outcome is always
 /// `by`'s most recent outcome (inverted when `negated`), so the runtime
 /// never logs it and replay reconstructs the bit instead. Produced by
-/// `staticax`'s implication analysis; mirrored here so `instrument`
-/// stays independent of the analysis crates.
+/// `staticax`'s implication analysis (`staticax::ImplicationMap`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Suppressed {
     /// The logged (or itself suppressed) branch whose outcome implies
@@ -200,9 +197,9 @@ impl Plan {
     }
 
     /// Applies implication suppression: every branch `b` with an
-    /// implication `(b, by, negated)` whose implier `by` is *also* in
-    /// the base instrumented set is dropped from the logged set and
-    /// recorded in [`Plan::suppressed`] instead.
+    /// implication `(b, Suppressed { by, .. })` whose implier `by` is
+    /// *also* in the base instrumented set is dropped from the logged
+    /// set and recorded in [`Plan::suppressed`] instead.
     ///
     /// Restricting suppression to impliers inside the base set keeps
     /// the plan's information content identical to the unsuppressed
@@ -210,17 +207,20 @@ impl Plan {
     /// along a chain that bottoms out in a logged branch — strict
     /// dominance makes chains acyclic), so replay loses no divergence
     /// signal and run counts cannot get worse.
-    pub(crate) fn apply_suppression<I>(mut self, implications: I) -> Plan
+    ///
+    /// Apply it before [`Plan::opt_into_cursors`]: the opt-in counts a
+    /// suppressed loop as observed, not as unlogged.
+    pub fn suppress<I>(mut self, implications: I) -> Plan
     where
-        I: IntoIterator<Item = (BranchId, BranchId, bool)>,
+        I: IntoIterator<Item = (BranchId, Suppressed)>,
     {
         let n = self.instrumented.len();
         let base = self.instrumented.clone();
         let mut suppressed = vec![None; n];
-        for (b, by, negated) in implications {
-            let (bi, yi) = (b.0 as usize, by.0 as usize);
+        for (b, sup) in implications {
+            let (bi, yi) = (b.0 as usize, sup.by.0 as usize);
             if bi < n && yi < n && base[bi] && base[yi] {
-                suppressed[bi] = Some(Suppressed { by, negated });
+                suppressed[bi] = Some(sup);
                 self.instrumented[bi] = false;
             }
         }
@@ -282,7 +282,7 @@ impl Plan {
     /// instrumented loop cluster), keep the flat format — bit for bit —
     /// everywhere else. Fully-logged and single-analysis plans never
     /// switch, so their baselines stay untouched.
-    pub(crate) fn apply_cursor_opt_in<'a>(
+    pub fn opt_into_cursors<'a>(
         mut self,
         branches: impl IntoIterator<Item = &'a BranchInfo>,
     ) -> Plan {
@@ -315,7 +315,6 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PlanBuilder;
 
     fn labels() -> (Vec<DynLabel>, Vec<bool>) {
         use DynLabel::*;
@@ -399,9 +398,8 @@ mod tests {
                 }
             })
             .collect();
-        let plan = PlanBuilder::new(method, &dynamic, &vec![false; logged.len()], logged.len())
-            .cursor_opt_in(infos)
-            .build();
+        let plan = Plan::build(method, &dynamic, &vec![false; logged.len()], logged.len())
+            .opt_into_cursors(infos);
         assert_eq!(plan.instrumented, logged);
         plan
     }
@@ -512,16 +510,24 @@ mod tests {
         assert!(!plan.has_partial_loop_cluster(&other_unit));
     }
 
+    /// The implication "`b` is implied by `by`" as `Plan::suppress`
+    /// takes it.
+    fn implied(b: u32, by: u32, negated: bool) -> (BranchId, Suppressed) {
+        (
+            BranchId(b),
+            Suppressed {
+                by: BranchId(by),
+                negated,
+            },
+        )
+    }
+
     #[test]
     fn suppression_moves_branches_out_of_the_logged_set() {
         let (d, s) = labels();
         // Static plan logs {0, 2, 4}; say 2 and 4 are implied by 0.
-        let p = PlanBuilder::new(Method::Static, &d, &s, 6)
-            .suppress([
-                (BranchId(2), BranchId(0), false),
-                (BranchId(4), BranchId(0), true),
-            ])
-            .build();
+        let p = Plan::build(Method::Static, &d, &s, 6)
+            .suppress([implied(2, 0, false), implied(4, 0, true)]);
         assert_eq!(
             p.instrumented,
             vec![true, false, false, false, false, false]
@@ -547,12 +553,8 @@ mod tests {
         // Static logs {0, 2, 4}: branch 1 is NOT in the base set, so an
         // implication rooted at it must not suppress anything; nor may a
         // non-instrumented branch (3) be suppressed.
-        let p = PlanBuilder::new(Method::Static, &d, &s, 6)
-            .suppress([
-                (BranchId(2), BranchId(1), false),
-                (BranchId(3), BranchId(0), false),
-            ])
-            .build();
+        let p = Plan::build(Method::Static, &d, &s, 6)
+            .suppress([implied(2, 1, false), implied(3, 0, false)]);
         assert_eq!(p.n_suppressed(), 0);
         assert_eq!(p.instrumented, vec![true, false, true, false, true, false]);
     }
@@ -563,12 +565,8 @@ mod tests {
         // 2 implied by 0, 4 implied by 2 (which is itself suppressed):
         // both suppressions stand, because membership is checked against
         // the BASE set — the chain bottoms out at logged branch 0.
-        let p = PlanBuilder::new(Method::Static, &d, &s, 6)
-            .suppress([
-                (BranchId(2), BranchId(0), false),
-                (BranchId(4), BranchId(2), true),
-            ])
-            .build();
+        let p = Plan::build(Method::Static, &d, &s, 6)
+            .suppress([implied(2, 0, false), implied(4, 2, true)]);
         assert_eq!(p.n_suppressed(), 2);
         assert_eq!(p.suppresses(BranchId(4)).unwrap().by, BranchId(2));
         assert!(p.covers(BranchId(0)));
@@ -577,9 +575,7 @@ mod tests {
     #[test]
     fn suppressed_plan_roundtrips_through_serde() {
         let (d, s) = labels();
-        let p = PlanBuilder::new(Method::Static, &d, &s, 6)
-            .suppress([(BranchId(2), BranchId(0), true)])
-            .build();
+        let p = Plan::build(Method::Static, &d, &s, 6).suppress([implied(2, 0, true)]);
         let json = serde_json::to_string(&p).unwrap();
         let q: Plan = serde_json::from_str(&json).unwrap();
         assert_eq!(p, q);
@@ -593,13 +589,9 @@ mod tests {
         // Both in the base set; the loop is suppressed (implied by the
         // if). Replay reconstructs its bits, so the cluster is whole.
         use DynLabel::Symbolic;
-        let builder =
-            PlanBuilder::new(Method::DynamicStatic, &[Symbolic, Symbolic], &[false; 2], 2)
-                .suppress([(BranchId(0), BranchId(1), false)]);
-        assert!(!builder.clone().build().has_partial_loop_cluster(&infos));
-        assert_eq!(
-            builder.cursor_opt_in(&infos).build().format,
-            LogFormat::Flat
-        );
+        let suppressed = Plan::build(Method::DynamicStatic, &[Symbolic, Symbolic], &[false; 2], 2)
+            .suppress([implied(0, 1, false)]);
+        assert!(!suppressed.has_partial_loop_cluster(&infos));
+        assert_eq!(suppressed.opt_into_cursors(&infos).format, LogFormat::Flat);
     }
 }

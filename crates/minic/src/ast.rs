@@ -434,11 +434,6 @@ impl Ast {
     pub fn n_branches(&self) -> usize {
         self.branches.len()
     }
-
-    /// Branch locations belonging to a given unit.
-    pub fn branches_in_unit(&self, unit: UnitId) -> impl Iterator<Item = &BranchInfo> {
-        self.branches.iter().filter(move |b| b.unit == unit)
-    }
 }
 
 /// Walks all expressions of a statement, calling `f` on each (pre-order).

@@ -84,11 +84,6 @@ impl Cfg {
         out
     }
 
-    /// Number of edges in the graph.
-    pub fn n_edges(&self) -> usize {
-        self.nodes.iter().map(|n| n.succs.len()).sum()
-    }
-
     /// Predecessor lists (inverse of `succs`).
     pub fn preds(&self) -> Vec<Vec<NodeId>> {
         let mut preds = vec![Vec::new(); self.nodes.len()];

@@ -31,7 +31,6 @@ pub mod eval;
 pub mod lexer;
 pub mod memory;
 pub mod parser;
-pub mod pretty;
 pub mod span;
 pub mod token;
 pub mod types;

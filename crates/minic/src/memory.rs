@@ -289,11 +289,6 @@ impl<V: Clone + Default> Memory<V> {
         }
     }
 
-    /// Number of live objects (excluding the null object).
-    pub fn live_objects(&self) -> usize {
-        self.objects.iter().filter(|o| o.alive).count()
-    }
-
     /// High-water mark of allocated cells.
     pub fn peak_cells(&self) -> usize {
         self.peak_cells
@@ -302,11 +297,6 @@ impl<V: Clone + Default> Memory<V> {
     /// Direct read of an object's cells (analysis/test support).
     pub fn object_cells(&self, obj: ObjId) -> Option<&[i64]> {
         self.objects.get(obj.0 as usize).map(|o| &o.cells[..])
-    }
-
-    /// The kind of an object, if it exists.
-    pub fn object_kind(&self, obj: ObjId) -> Option<&ObjKind> {
-        self.objects.get(obj.0 as usize).map(|o| &o.kind)
     }
 }
 

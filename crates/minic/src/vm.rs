@@ -311,11 +311,6 @@ impl<'p, H: Host> Vm<'p, H> {
         &self.argv_objs
     }
 
-    /// The memory object of a global variable.
-    pub fn global_object(&self, g: crate::types::GlobalId) -> ObjId {
-        self.global_objs[g.0 as usize]
-    }
-
     /// Lays out globals, rodata and argv, then runs `main` to completion.
     pub fn run(&mut self, argv: &[Vec<u8>]) -> RunOutcome {
         self.prepare(argv);

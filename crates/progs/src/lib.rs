@@ -105,14 +105,6 @@ impl Program {
         }
     }
 
-    /// The unit id of the application unit.
-    pub fn app_unit(self) -> UnitId {
-        match self {
-            Program::MicroLoop | Program::Fib => UnitId(0),
-            _ => UnitId(1),
-        }
-    }
-
     /// Parses, checks and compiles the program.
     pub fn build(self) -> Result<CompiledProgram> {
         minic::build(&self.units())
@@ -508,56 +500,5 @@ mod tests {
         );
         let (_, host_n, _) = run(Program::Fib, &[b"fib", b"x"], KernelConfig::default());
         assert_eq!(String::from_utf8_lossy(&host_n.stdout), "Result: 0\n");
-    }
-}
-
-#[cfg(test)]
-mod roundtrip {
-    use super::*;
-    use minic::parser::parse_units;
-    use minic::pretty::print_ast;
-
-    /// Pretty-printing and re-parsing every benchmark program must
-    /// preserve the branch table (ids in order, kinds, functions) — the
-    /// identity the whole system keys on.
-    #[test]
-    fn pretty_print_roundtrip_preserves_branch_tables() {
-        for p in Program::ALL {
-            let units = p.units();
-            let ast1 = parse_units(&units).unwrap();
-            let printed = print_ast(&ast1);
-            let ast2 = minic::parser::parse(&printed)
-                .unwrap_or_else(|e| panic!("{}: reparse failed: {e}", p.name()));
-            assert_eq!(
-                ast1.n_branches(),
-                ast2.n_branches(),
-                "{}: branch count drifted",
-                p.name()
-            );
-            for (b1, b2) in ast1.branches.iter().zip(ast2.branches.iter()) {
-                assert_eq!(b1.id, b2.id, "{}", p.name());
-                assert_eq!(b1.kind, b2.kind, "{}", p.name());
-                assert_eq!(b1.func, b2.func, "{}", p.name());
-            }
-        }
-    }
-
-    /// The re-parsed program must also compile and (for fib) behave
-    /// identically.
-    #[test]
-    fn reprinted_fib_behaves_identically() {
-        use minic::vm::{NullHost, Vm};
-        let ast = parse_units(&Program::Fib.units()).unwrap();
-        let printed = print_ast(&ast);
-        let cp1 = Program::Fib.build().unwrap();
-        let cp2 = minic::build(&[("fib", &printed)]).unwrap();
-        for arg in [&b"a"[..], b"b", b"x"] {
-            let run = |cp: &minic::CompiledProgram| {
-                let mut vm = Vm::new(cp, NullHost::default());
-                vm.run(&[b"fib".to_vec(), arg.to_vec()]);
-                vm.host.stdout
-            };
-            assert_eq!(run(&cp1), run(&cp2));
-        }
     }
 }

@@ -22,7 +22,7 @@ use crate::host::{
 };
 use crate::reader::LogIndex;
 use concolic::{mark_argv_symbolic, realize_streams, InputSpec, InputVars, PathStep, StepOrigin};
-use instrument::{BugReport, Plan};
+use instrument::{BugReport, EscalationReport, Plan};
 use minic::vm::{RunOutcome, Vm};
 use minic::CompiledProgram;
 use oskit::SimFs;
@@ -32,8 +32,6 @@ use search::{
     FUEL_PER_RUN, MAX_PENDING_LITS,
 };
 use solver::{ConstraintSet, ExprArena, FastMap, FastSet, Lit, Node, Op, PrefixCache, VarId};
-
-pub use crate::escalation::{EscalationReport, LocationEscalation};
 
 /// Unlogged suspects a forced set keeps for repair: wider than the
 /// [`search::MAX_REPAIRS`] attempt budget, so duplicate
@@ -745,7 +743,7 @@ impl RepairBook {
             tracker: RepairTracker::new(),
             counted_cutoffs: FastSet::default(),
             bits_high_water: 0,
-            escalation: EscalationReport::new(),
+            escalation: EscalationReport::default(),
         }
     }
 }

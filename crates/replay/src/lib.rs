@@ -29,7 +29,6 @@
 
 pub mod engine;
 pub mod env;
-pub mod escalation;
 pub mod host;
 pub mod reader;
 pub mod stats;
@@ -37,7 +36,6 @@ pub mod stats;
 pub use concolic::{realize_streams, Streams};
 pub use engine::{ReplayConfig, ReplayEngine, ReplayResult};
 pub use env::{ReplayEnv, SyscallMode};
-pub use escalation::{EscalationReport, LocationEscalation};
 pub use host::{
     ReplayHost, ReplayRunStats, BRANCH_DIVERGENCE, CHECKPOINT_DIVERGENCE, CURSOR_OVERRUN,
     IMPLICATION_VIOLATION, REACHED_CRASH_SITE,
@@ -55,8 +53,8 @@ mod e2e {
     use crate::reader::LogIndex;
     use crate::stats::{assignment_from_input, InputParts};
     use concolic::{
-        mark_argv_symbolic, realize, realize_streams, BranchLabel, Concretization, Engine,
-        InputSpec, InputVars, PathStep, SessionConfig,
+        mark_argv_symbolic, realize, realize_streams, Concretization, Engine, InputSpec, InputVars,
+        PathStep, SessionConfig,
     };
     use instrument::{BranchTrace, BugReport, DynLabel, LoggingHost, Method, Plan, TraceLog};
     use minic::vm::Vm;
@@ -64,16 +62,6 @@ mod e2e {
     use oskit::{Kernel, KernelConfig, SimFs};
     use proptest::prelude::*;
     use solver::ExprArena;
-
-    fn to_dyn_labels(cp: &CompiledProgram, labels: &concolic::LabelMap) -> Vec<DynLabel> {
-        (0..cp.n_branches())
-            .map(|i| match labels.get(minic::BranchId(i as u32)) {
-                BranchLabel::Unvisited => DynLabel::Unvisited,
-                BranchLabel::Concrete => DynLabel::Concrete,
-                BranchLabel::Symbolic => DynLabel::Symbolic,
-            })
-            .collect()
-    }
 
     /// Full pipeline: analyze → plan → deploy on `true_parts` → capture
     /// the crash → replay.
@@ -92,7 +80,7 @@ mod e2e {
         let mut scfg = SessionConfig::new(spec.clone());
         scfg.budget.max_runs = analysis_runs;
         let analysis = Engine::new(&cp, scfg).analyze();
-        let dyn_labels = to_dyn_labels(&cp, &analysis.labels);
+        let dyn_labels: Vec<DynLabel> = analysis.labels.iter().map(|(_, l)| l).collect();
 
         // Static analysis.
         let sres = staticax::analyze(&cp, &staticax::StaticConfig::default());
@@ -221,14 +209,7 @@ mod e2e {
             sres.symbolic(),
             cp.n_branches(),
         );
-        let sup_plan = instrument::PlanBuilder::new(
-            Method::Static,
-            &dyn_labels,
-            sres.symbolic(),
-            cp.n_branches(),
-        )
-        .suppress(sres.implications.iter().map(|(b, i)| (b, i.by, i.negated)))
-        .build();
+        let sup_plan = full.clone().suppress(sres.implications.iter());
         assert_eq!(sup_plan.n_suppressed(), 1);
 
         // Deploy both plans on the true crashing input.

@@ -151,11 +151,6 @@ impl PrefixCache {
         self.sat_prefixes.len()
     }
 
-    /// Number of propagation states banked.
-    pub fn n_range_states(&self) -> usize {
-        self.range_states.len()
-    }
-
     /// Banks one executed run's path: `lits` are the path literals in
     /// execution order (each held under the run's concrete assignment),
     /// `ranges` the concretization constraints emitted along it (each

@@ -100,11 +100,6 @@ impl Interner {
     pub fn node_id(&self, k: &NodeKey) -> Option<usize> {
         self.nodes.get(k).copied()
     }
-
-    /// Dense id of an existing location, if interned.
-    pub fn loc_id(&self, l: &AbsLoc) -> Option<usize> {
-        self.locs.get(l).copied()
-    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! so the plan can *suppress* the implied branch's log bit and replay can
 //! reconstruct it from the implying branch's already-replayed outcome.
 //!
-//! An implication `b -> Implied { by: a, negated }` is emitted only when
+//! An implication `b -> Suppressed { by: a, negated }` is emitted only when
 //! it holds on **every** execution, not just the recorded one:
 //!
 //! 1. `a`'s condition node strictly dominates `b`'s in the function's
@@ -36,26 +36,20 @@
 //! the bit can never steer replay differently than the logged bit would
 //! have.
 
+use instrument::Suppressed;
 use minic::ast::{walk_expr, Ast, Block, Expr, ExprKind, FuncDef, Stmt, StmtKind, UnOp};
 use minic::cfg::{build_cfg, Cfg, NodeId, NodeKind};
 use minic::BranchId;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// One implication edge: the branch this entry is keyed under always
-/// takes the same direction as `by`'s most recent execution (inverted
-/// when `negated`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Implied {
-    /// The dominating branch whose outcome determines this one.
-    pub by: BranchId,
-    /// Whether the implied outcome is the opposite direction.
-    pub negated: bool,
-}
-
-/// Per-program implication table, indexed by [`BranchId`].
+/// Per-program implication table, indexed by [`BranchId`]. Each entry
+/// is the plan layer's [`Suppressed`] edge: the branch it is keyed
+/// under always takes the same direction as `by`'s most recent
+/// execution (inverted when `negated`), so `instrument::Plan::suppress`
+/// takes [`ImplicationMap::iter`] as it is.
 #[derive(Debug, Clone, Default)]
 pub struct ImplicationMap {
-    implied: Vec<Option<Implied>>,
+    implied: Vec<Option<Suppressed>>,
 }
 
 impl ImplicationMap {
@@ -67,7 +61,7 @@ impl ImplicationMap {
     }
 
     /// The implication for branch `b`, if one was found.
-    pub fn get(&self, b: BranchId) -> Option<Implied> {
+    pub fn get(&self, b: BranchId) -> Option<Suppressed> {
         self.implied.get(b.0 as usize).copied().flatten()
     }
 
@@ -77,7 +71,7 @@ impl ImplicationMap {
     }
 
     /// All `(branch, implication)` pairs, in `BranchId` order.
-    pub fn iter(&self) -> impl Iterator<Item = (BranchId, Implied)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (BranchId, Suppressed)> + '_ {
         self.implied
             .iter()
             .enumerate()
@@ -424,7 +418,7 @@ fn analyze_func(f: &FuncDef, global_names: &BTreeSet<&str>, map: &mut Implicatio
             if interfered {
                 continue;
             }
-            map.implied[b.bid.0 as usize] = Some(Implied {
+            map.implied[b.bid.0 as usize] = Some(Suppressed {
                 by: a.bid,
                 negated: a.neg != b.neg,
             });
@@ -498,7 +492,7 @@ mod tests {
         );
         assert_eq!(
             m.get(BranchId(1)),
-            Some(Implied {
+            Some(Suppressed {
                 by: BranchId(0),
                 negated: false
             })
@@ -524,21 +518,21 @@ mod tests {
         let root = BranchId(0);
         assert_eq!(
             m.get(BranchId(1)),
-            Some(Implied {
+            Some(Suppressed {
                 by: root,
                 negated: true
             })
         );
         assert_eq!(
             m.get(BranchId(2)),
-            Some(Implied {
+            Some(Suppressed {
                 by: root,
                 negated: true
             })
         );
         assert_eq!(
             m.get(BranchId(3)),
-            Some(Implied {
+            Some(Suppressed {
                 by: root,
                 negated: false
             })
@@ -597,7 +591,7 @@ mod tests {
         );
         assert_eq!(
             m.get(BranchId(1)),
-            Some(Implied {
+            Some(Suppressed {
                 by: BranchId(0),
                 negated: false
             })
@@ -710,7 +704,7 @@ mod tests {
         assert_eq!(m.get(BranchId(0)), None);
         assert_eq!(
             m.get(BranchId(2)),
-            Some(Implied {
+            Some(Suppressed {
                 by: BranchId(1),
                 negated: false
             })

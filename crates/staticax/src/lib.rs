@@ -17,7 +17,7 @@ pub mod taint;
 
 pub use absloc::{AbsLoc, Interner, NodeKey};
 pub use analysis::{analyze, analyze_program, StaticConfig, StaticResult};
-pub use implication::{ImplicationMap, Implied};
-pub use literals::{literal_clusters, LiteralCluster};
+pub use implication::ImplicationMap;
+pub use literals::literal_clusters;
 pub use pointsto::PointsTo;
 pub use taint::TaintResult;

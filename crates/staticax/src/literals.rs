@@ -15,22 +15,15 @@
 //! callee. Library string routines (`strcmp`, `strncmp`, hand-rolled
 //! scanners) all fit this shape; a false positive only ever costs a few
 //! UNSAT priority solves at replay time, never deployment overhead.
+//!
+//! A cluster is the plan layer's [`LiteralCluster`]: the branch
+//! locations of the callee's body and the distinct literals (in
+//! first-seen order) its call sites pass in, handed to
+//! `instrument::escalate` as they are.
 
+use instrument::LiteralCluster;
 use minic::ast::{walk_block_exprs, ExprKind};
 use minic::CompiledProgram;
-
-/// One callee's literal cluster: the branch locations of its body and
-/// the string literals call sites pass into it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LiteralCluster {
-    /// The function whose body contains the comparison branches.
-    pub callee: String,
-    /// Branch locations inside `callee`, ascending.
-    pub branches: Vec<u32>,
-    /// Distinct literals (length ≥ 2) passed to `callee`, in first-seen
-    /// order.
-    pub literals: Vec<Vec<u8>>,
-}
 
 /// Scans the whole program for calls passing string literals into
 /// defined functions; one cluster per such callee with at least one
@@ -83,7 +76,6 @@ pub fn literal_clusters(cp: &CompiledProgram) -> Vec<LiteralCluster> {
             continue;
         }
         clusters.push(LiteralCluster {
-            callee: func.name.clone(),
             branches,
             literals: literals.clone(),
         });
@@ -121,7 +113,6 @@ mod tests {
         let clusters = literal_clusters(&cp);
         assert_eq!(clusters.len(), 1);
         let c = &clusters[0];
-        assert_eq!(c.callee, "eq");
         assert_eq!(c.literals, vec![b"GET /".to_vec()]);
         // eq's for-loop guard and body-if both cluster; main's branches
         // do not.

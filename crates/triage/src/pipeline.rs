@@ -184,10 +184,6 @@ pub struct TriageClass {
     /// program name included) — the developer's repro for every member
     /// at once. `None` when the representative did not reproduce.
     pub witness_argv: Option<Vec<Vec<u8>>>,
-    /// Per-branch-location escalation evidence from the class replay —
-    /// input to the adaptive next-generation plan (see
-    /// [`TriageOutcome::fleet_escalation`]).
-    pub escalation: replay::EscalationReport,
 }
 
 /// Result of one batched triage pass.
@@ -212,18 +208,6 @@ impl TriageOutcome {
     /// The deterministic metric rows, one per class.
     pub fn rows(&self) -> Vec<TriageRow> {
         self.classes.iter().map(|c| c.row.clone()).collect()
-    }
-
-    /// Merges every class's escalation evidence for `binary` into one
-    /// fleet-level report (counters add, consulted sets union) — what
-    /// `Workbench::escalate_plan` consumes to produce the binary's next
-    /// instrumentation-plan generation.
-    pub fn fleet_escalation(&self, binary_name: &str) -> replay::EscalationReport {
-        let mut merged = replay::EscalationReport::new();
-        for c in self.classes.iter().filter(|c| c.row.program == binary_name) {
-            merged.merge(&c.escalation);
-        }
-        merged
     }
 }
 
@@ -477,7 +461,6 @@ impl TriagePipeline {
                 members: b.members,
                 escalated: b.escalated,
                 witness_argv: res.witness_argv,
-                escalation: res.escalation,
             });
         }
         self.ledger.classes = classes.len();
