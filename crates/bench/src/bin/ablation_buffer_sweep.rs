@@ -5,7 +5,7 @@
 //! flush count and total instrumentation cost per size — the knee should
 //! sit near small-KiB sizes, after which bigger buffers stop helping.
 
-use instrument::BitLog;
+use instrument::{BranchLog, LogFormat};
 use minic::cost::{BRANCH_LOG_COST, LOG_FLUSH_COST};
 use retrace_bench::render;
 
@@ -16,10 +16,10 @@ fn main() {
         .unwrap_or(2_000_000);
     let mut rows = Vec::new();
     for buffer_bytes in [16usize, 64, 256, 1024, 4096, 16384, 65536] {
-        let mut log = BitLog::with_buffer_size(buffer_bytes);
+        let mut log = BranchLog::with_buffer_size(LogFormat::Flat, buffer_bytes);
         let mut cost = 0u64;
         for i in 0..bits {
-            cost += log.push(i % 3 != 0);
+            cost += log.push(0, i % 3 != 0);
         }
         let flush_cost = log.flushes() * LOG_FLUSH_COST;
         rows.push(vec![

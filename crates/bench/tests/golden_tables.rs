@@ -151,7 +151,7 @@ fn userver_overhead_table_matches_golden() {
         base.instrumentation_units.to_string(),
         "0".into(),
         "0".into(),
-        base.syscall_log_bytes.to_string(),
+        "0".into(),
         "0".into(),
         "-".into(),
     ]];

@@ -19,8 +19,6 @@ pub struct Overhead {
     pub instrumented_execs: u64,
     /// Branch-log bytes produced.
     pub log_bytes: u64,
-    /// Log buffer flushes.
-    pub log_flushes: u64,
     /// Syscall-log bytes produced.
     pub syscall_log_bytes: u64,
     /// Requests completed (servers; 0 otherwise).
@@ -255,7 +253,6 @@ mod tests {
             baseline_units: 10,
             instrumented_execs: 5,
             log_bytes: 90,
-            log_flushes: 0,
             syscall_log_bytes: 10,
             requests: 10,
         };

@@ -17,7 +17,7 @@ use crate::metrics::Overhead;
 use concolic::{
     realize, AnalysisResult, Concretization, Engine, InputSpec, InputVars, Profile, SessionConfig,
 };
-use instrument::{BugReport, DynLabel, EscalationReport, LogFormat, LoggingHost, Method, Plan};
+use instrument::{BugReport, DynLabel, EscalationReport, LoggingHost, Method, Plan};
 use minic::cost::Meter;
 use minic::vm::{RunOutcome, Vm};
 use minic::{CompiledProgram, UnitId};
@@ -85,12 +85,8 @@ pub struct LoggedRun {
     /// Executions of suppressed branches — observed by the plan but
     /// never logged; replay reconstructs their bits for free.
     pub suppressed_execs: u64,
-    /// Syscall-log records produced.
-    pub syscall_records: usize,
     /// Syscall-log bytes.
     pub syscall_log_bytes: u64,
-    /// Log format the run emitted.
-    pub log_format: LogFormat,
     /// Branch locations with their own bit stream (0 under flat).
     pub cursor_locations: usize,
     /// Extra instrumentation units spent on per-location cursor
@@ -301,12 +297,10 @@ impl Workbench {
         let host = vm.host;
         let log_bits = host.log.len();
         let log_flushes = host.log.flushes();
-        let log_format = host.plan.format;
         let cursor_locations = host.log.n_locations();
         let cursor_spend_units = host.log.spend_units();
         let instrumented_execs = host.instrumented_execs;
         let suppressed_execs = host.suppressed_execs;
-        let syscall_records = host.syscalls.len();
         let syscall_log_bytes = host.syscalls.bytes();
         let requests = host.kernel.stats().requests_completed;
         let stdout = host.stdout.clone();
@@ -322,9 +316,7 @@ impl Workbench {
             log_flushes,
             instrumented_execs,
             suppressed_execs,
-            syscall_records,
             syscall_log_bytes,
-            log_format,
             cursor_locations,
             cursor_spend_units,
             requests,
@@ -343,7 +335,6 @@ impl Workbench {
             baseline_units: base.units,
             instrumented_execs: run.instrumented_execs,
             log_bytes: run.log_bits.div_ceil(8),
-            log_flushes: run.log_flushes,
             syscall_log_bytes: run.syscall_log_bytes,
             requests: run.requests,
         }

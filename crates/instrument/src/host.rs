@@ -7,7 +7,7 @@
 //! packages the crash site and the logs — the artifact shipped to the
 //! developer.
 
-use crate::logger::{checkpoints_wire_bytes, BitLog, CursorLog, TraceLog};
+use crate::logger::{checkpoints_wire_bytes, BranchLog, TraceLog};
 use crate::plan::{LogFormat, Method, Plan};
 use crate::syscall_log::{is_logged, SysRecord, SyscallLog};
 use minic::cost::Meter;
@@ -18,82 +18,6 @@ use minic::{BranchId, Loc};
 use oskit::{apply_effect, Kernel};
 use serde::{Deserialize, Serialize};
 
-/// The accumulating branch log in the plan's format: the flat bitvector,
-/// or one bit stream per branch location (see [`LogFormat`]).
-#[derive(Debug, Clone)]
-pub enum BranchLogger {
-    /// The paper's flat bit log.
-    Flat(BitLog),
-    /// The per-location cursor log.
-    Cursors(CursorLog),
-}
-
-impl BranchLogger {
-    /// An empty logger in the given format.
-    pub fn new(format: LogFormat) -> Self {
-        match format {
-            LogFormat::Flat => BranchLogger::Flat(BitLog::new()),
-            LogFormat::PerLocation => BranchLogger::Cursors(CursorLog::new()),
-        }
-    }
-
-    /// Appends one direction for branch location `loc`, returning the
-    /// cost units charged.
-    pub fn push(&mut self, loc: u32, taken: bool) -> u64 {
-        match self {
-            BranchLogger::Flat(l) => l.push(taken),
-            BranchLogger::Cursors(l) => l.push(loc, taken),
-        }
-    }
-
-    /// Total bits recorded.
-    pub fn len(&self) -> u64 {
-        match self {
-            BranchLogger::Flat(l) => l.len(),
-            BranchLogger::Cursors(l) => l.len(),
-        }
-    }
-
-    /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Buffer flushes performed.
-    pub fn flushes(&self) -> u64 {
-        match self {
-            BranchLogger::Flat(l) => l.flushes(),
-            BranchLogger::Cursors(l) => l.flushes(),
-        }
-    }
-
-    /// Branch locations with at least one recorded bit (0 under flat —
-    /// the flat format keeps no per-location table).
-    pub fn n_locations(&self) -> usize {
-        match self {
-            BranchLogger::Flat(_) => 0,
-            BranchLogger::Cursors(l) => l.n_locations(),
-        }
-    }
-
-    /// Extra instrumentation units spent on cursor maintenance (0 under
-    /// flat) — the spend counter behind the tables' spend column.
-    pub fn spend_units(&self) -> u64 {
-        match self {
-            BranchLogger::Flat(_) => 0,
-            BranchLogger::Cursors(l) => l.spend_units(),
-        }
-    }
-
-    /// Finalizes into the shippable trace.
-    pub fn finish(self) -> TraceLog {
-        match self {
-            BranchLogger::Flat(l) => TraceLog::Flat(l.finish()),
-            BranchLogger::Cursors(l) => TraceLog::Cursors(l.finish()),
-        }
-    }
-}
-
 /// Concrete host with branch + syscall logging per an instrumentation
 /// [`Plan`].
 #[derive(Debug)]
@@ -103,7 +27,7 @@ pub struct LoggingHost {
     /// The instrumentation plan (what to log).
     pub plan: Plan,
     /// The branch log being accumulated, in the plan's format.
-    pub log: BranchLogger,
+    pub log: BranchLog,
     /// The syscall-result log being accumulated.
     pub syscalls: SyscallLog,
     /// Captured stdout.
@@ -123,7 +47,7 @@ pub struct LoggingHost {
 impl LoggingHost {
     /// Creates a logging host.
     pub fn new(kernel: Kernel, plan: Plan) -> Self {
-        let log = BranchLogger::new(plan.format);
+        let log = BranchLog::new(plan.format);
         LoggingHost {
             kernel,
             plan,
@@ -192,22 +116,17 @@ impl Host for LoggingHost {
                 ret: eff.ret,
                 flags,
             };
-            // A running total: re-summing the whole log at every logged
-            // syscall made a long serve quadratic in its syscall count.
-            meter.syscall_log_bytes += rec.wire_bytes();
             let cost = self.syscalls.push(rec);
             meter.charge_instrumentation(cost);
-            if self.plan.checkpoints {
-                if let BranchLogger::Cursors(l) = &self.log {
-                    // Syscall-anchored cursor checkpoint: snapshot every
-                    // stream's length, charging one cursor-table read per
-                    // entry. Anchoring to *logged* syscalls keeps the
-                    // record index aligned with the syscall log replay
-                    // already follows.
-                    let snap = l.positions();
-                    meter.charge_instrumentation(minic::cost::CURSOR_STEP_COST * snap.len() as u64);
-                    self.checkpoints.push(snap);
-                }
+            if self.plan.checkpoints && self.plan.format == LogFormat::PerLocation {
+                // Syscall-anchored cursor checkpoint: snapshot every
+                // stream's length, charging one cursor-table read per
+                // entry. Anchoring to *logged* syscalls keeps the record
+                // index aligned with the syscall log replay already
+                // follows.
+                let snap = self.log.positions();
+                meter.charge_instrumentation(minic::cost::CURSOR_STEP_COST * snap.len() as u64);
+                self.checkpoints.push(snap);
             }
         }
         if let Some(sig) = self.kernel.take_pending_signal() {
@@ -450,14 +369,12 @@ mod tests {
             log_syscalls: true,
             ..Plan::none(2)
         };
-        let (_, host, meter) = run_with_plan(plan, b"a");
+        let (_, host, _) = run_with_plan(plan, b"a");
         assert_eq!(host.syscalls.len(), 1); // the sys_time call
         assert_eq!(host.syscalls.records[0].sys, Sys::Time);
-        assert_eq!(meter.syscall_log_bytes, host.syscalls.bytes());
 
         // Several logged calls, select's ready flags among them, between
-        // unlogged ones: the meter's running total must equal the size
-        // of the log that ships.
+        // unlogged ones.
         let src = r#"
             int main(int argc, char **argv) {
                 int fds[3];
@@ -495,7 +412,6 @@ mod tests {
             .filter(|r| r.sys == Sys::Select)
             .all(|r| r.flags.len() == 3));
         assert!(log.bytes() > 4 * (1 + 1 + 3), "flags and wide values count");
-        assert_eq!(vm.meter.syscall_log_bytes, log.bytes());
     }
 
     #[test]

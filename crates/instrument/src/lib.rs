@@ -11,12 +11,12 @@
 //!   [`LiteralCluster`] (from `staticax`) and [`EscalationReport`]
 //!   (filled in by `replay`, read by [`escalate()`]). This crate
 //!   depends on no analysis or search crate;
-//! - [`BitLog`]/[`BranchTrace`]: the flat bit-per-branch log with 4 KiB
-//!   buffered flushing and its 17-instruction per-branch cost;
-//! - [`CursorLog`]/[`CursorTrace`]: the per-branch-location log-format
-//!   extension (one bit stream and cursor per location, with a spend
-//!   counter and a compact on-wire encoding), unified with the flat
-//!   format under [`TraceLog`];
+//! - [`BranchLog`]: the one writer of branch bits, in either format —
+//!   the paper's flat bit-per-branch log ([`BranchTrace`]) or the
+//!   per-branch-location extension ([`CursorTrace`]: one bit stream and
+//!   cursor per location, with a spend counter and a compact on-wire
+//!   encoding) — with 4 KiB buffered flushing and the 17-instruction
+//!   per-branch cost; both formats ship as a [`TraceLog`];
 //! - [`SyscallLog`]: selective syscall-result logging (`read` counts,
 //!   `select` ready sets — never input data);
 //! - [`LoggingHost`]: the instrumented execution host;
@@ -32,7 +32,7 @@ pub mod plan;
 pub mod syscall_log;
 
 pub use escalate::{escalate, EscalationReport, LiteralCluster, LocationEscalation};
-pub use host::{BranchLogger, BugReport, LoggingHost};
-pub use logger::{BitLog, BranchTrace, CursorLog, CursorTrace, LocStream, TraceCursor, TraceLog};
+pub use host::{BugReport, LoggingHost};
+pub use logger::{BranchLog, BranchTrace, CursorTrace, LocStream, TraceLog};
 pub use plan::{DynLabel, LogFormat, Method, Plan, Suppressed};
-pub use syscall_log::{is_logged, SysCursor, SysRecord, SyscallLog};
+pub use syscall_log::{is_logged, SysRecord, SyscallLog};

@@ -6,72 +6,99 @@
 //! program locations (the id sequence is implied by the instrumented-
 //! branch list plus the execution path).
 //!
-//! Two log formats exist (see [`crate::plan::LogFormat`]):
+//! [`BranchLog`] is the one writer of both log formats (see
+//! [`LogFormat`]); they differ only in which stream a bit lands in:
 //!
-//! - **flat** ([`BitLog`] → [`BranchTrace`]): the paper's single
+//! - **flat** (→ [`BranchTrace`]): one stream, the paper's single
 //!   bitvector, bits in global execution order;
-//! - **per-location cursors** ([`CursorLog`] → [`CursorTrace`]): one bit
-//!   stream per static branch location, each consumed by its own cursor.
-//!   Spending [`CURSOR_STEP_COST`] extra instructions per logged
-//!   execution buys alignment robustness: one wrong unlogged loop exit
-//!   can no longer shift which branch instance consumes which bit across
-//!   the whole log — a misaligned candidate now diverges *locally*, at
-//!   the first wrong bit of the affected location's own stream.
+//! - **per-location cursors** (→ [`CursorTrace`]): one stream per static
+//!   branch location, each consumed by its own cursor. Spending
+//!   [`CURSOR_STEP_COST`] extra instructions per logged execution buys
+//!   alignment robustness: one wrong unlogged loop exit can no longer
+//!   shift which branch instance consumes which bit across the whole
+//!   log — a misaligned candidate now diverges *locally*, at the first
+//!   wrong bit of the affected location's own stream.
 //!
 //! [`TraceLog`] is the shipped artifact covering both formats; replay
 //! reads it through its own indexed reader.
 
+use crate::plan::LogFormat;
 use minic::cost::{BRANCH_LOG_COST, CURSOR_STEP_COST, LOG_BUFFER_BYTES, LOG_FLUSH_COST};
 use serde::{Deserialize, Serialize};
 
-/// An append-only bit log with buffered flushing (4 KiB by default).
+/// The append-only branch log of a deployment, in the plan's format: a
+/// flat log is stream 0, a per-location log one stream per location.
+///
+/// Both formats share one flush buffer (4 KiB by default) — the runtime
+/// owns a single buffer and, per location, just tags buffered bits with
+/// their location — so the flush cadence depends on the bit volume
+/// alone. Each push charges [`BRANCH_LOG_COST`]; the per-location format
+/// adds [`CURSOR_STEP_COST`] for the cursor-table indirection and
+/// accumulates it in [`spend_units`](BranchLog::spend_units), so the
+/// instrumentation-spend columns of the tables stay honest about what the
+/// format costs.
 #[derive(Debug, Clone)]
-pub struct BitLog {
-    bits: Vec<u8>,
+pub struct BranchLog {
+    format: LogFormat,
+    /// Each stream, indexed by stream id; `None` until it records its
+    /// first bit.
+    streams: Vec<Option<BranchTrace>>,
+    /// Streams that exist.
+    n_streams: usize,
     n_bits: u64,
     buffered_bits: usize,
     flushes: u64,
     buffer_bytes: usize,
+    spend_units: u64,
 }
 
-impl Default for BitLog {
-    fn default() -> Self {
-        Self::with_buffer_size(LOG_BUFFER_BYTES)
-    }
-}
-
-impl BitLog {
+impl BranchLog {
     /// Creates an empty log with the paper's 4 KiB buffer.
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(format: LogFormat) -> Self {
+        Self::with_buffer_size(format, LOG_BUFFER_BYTES)
     }
 
     /// Creates a log with a custom flush-buffer size (the buffer-size
     /// ablation; the paper chose 4 KiB "in order to avoid writing to
     /// disk too often").
-    pub fn with_buffer_size(buffer_bytes: usize) -> Self {
-        BitLog {
-            bits: Vec::new(),
+    pub fn with_buffer_size(format: LogFormat, buffer_bytes: usize) -> Self {
+        BranchLog {
+            format,
+            streams: Vec::new(),
+            n_streams: 0,
             n_bits: 0,
             buffered_bits: 0,
             flushes: 0,
             buffer_bytes: buffer_bytes.max(1),
+            spend_units: 0,
         }
     }
 
-    /// Appends one branch direction, returning the cost units charged
-    /// (17 per bit, plus the flush amortization when the buffer fills).
-    pub fn push(&mut self, taken: bool) -> u64 {
-        let byte = (self.n_bits / 8) as usize;
-        if byte == self.bits.len() {
-            self.bits.push(0);
+    /// Appends one direction of branch location `loc` — to stream 0
+    /// under flat, to stream `loc` per location — returning the cost
+    /// units charged: 17 per bit, the cursor indirection per location,
+    /// plus the flush amortization when the shared buffer fills.
+    pub fn push(&mut self, loc: u32, taken: bool) -> u64 {
+        let mut cost = BRANCH_LOG_COST;
+        let i = match self.format {
+            LogFormat::Flat => 0,
+            LogFormat::PerLocation => {
+                self.spend_units += CURSOR_STEP_COST;
+                cost += CURSOR_STEP_COST;
+                loc as usize
+            }
+        };
+        if i >= self.streams.len() {
+            self.streams.resize_with(i + 1, || None);
         }
-        if taken {
-            self.bits[byte] |= 1 << (self.n_bits % 8);
-        }
+        self.streams[i]
+            .get_or_insert_with(|| {
+                self.n_streams += 1;
+                BranchTrace::default()
+            })
+            .push(taken);
         self.n_bits += 1;
         self.buffered_bits += 1;
-        let mut cost = BRANCH_LOG_COST;
         if self.buffered_bits >= self.buffer_bytes.saturating_mul(8) {
             self.buffered_bits = 0;
             self.flushes += 1;
@@ -80,7 +107,7 @@ impl BitLog {
         cost
     }
 
-    /// Number of bits recorded.
+    /// Total bits recorded across all streams.
     pub fn len(&self) -> u64 {
         self.n_bits
     }
@@ -90,26 +117,60 @@ impl BitLog {
         self.n_bits == 0
     }
 
-    /// Bytes of storage used (the Figure 4b metric).
-    pub fn bytes(&self) -> u64 {
-        self.n_bits.div_ceil(8)
-    }
-
     /// Buffer flushes performed.
     pub fn flushes(&self) -> u64 {
         self.flushes
     }
 
-    /// Finalizes into an immutable, shippable trace.
-    pub fn finish(self) -> BranchTrace {
-        BranchTrace {
-            bits: self.bits,
-            n_bits: self.n_bits,
+    /// Branch locations with at least one recorded bit (0 under flat —
+    /// the flat format keeps no per-location table).
+    pub fn n_locations(&self) -> usize {
+        match self.format {
+            LogFormat::Flat => 0,
+            LogFormat::PerLocation => self.n_streams,
+        }
+    }
+
+    /// Extra instrumentation units spent on cursor maintenance (0 under
+    /// flat) — the spend counter behind the tables' spend column.
+    pub fn spend_units(&self) -> u64 {
+        self.spend_units
+    }
+
+    /// Every stream's current length, sorted by stream id — under the
+    /// per-location format, the snapshot a checkpointing plan records at
+    /// each logged syscall boundary (the syscall-anchored cursor
+    /// checkpoint escalation rule).
+    pub fn positions(&self) -> Vec<(u32, u64)> {
+        let mut out = Vec::with_capacity(self.n_streams);
+        for (loc, s) in self.streams.iter().enumerate() {
+            if let Some(s) = s {
+                out.push((loc as u32, s.len()));
+            }
+        }
+        out
+    }
+
+    /// Finalizes into the shippable trace.
+    pub fn finish(self) -> TraceLog {
+        // Exact capacity: a fleet holds tens of thousands of finished
+        // traces, so none may keep the dense table's allocation.
+        let mut streams = Vec::with_capacity(self.n_streams);
+        for (loc, bits) in self.streams.into_iter().enumerate() {
+            if let Some(bits) = bits {
+                let loc = loc as u32;
+                streams.push(LocStream { loc, bits });
+            }
+        }
+        match self.format {
+            LogFormat::Flat => TraceLog::Flat(streams.pop().map(|s| s.bits).unwrap_or_default()),
+            LogFormat::PerLocation => TraceLog::Cursors(CursorTrace { streams }),
         }
     }
 }
 
-/// The shipped branch trace: the bitvector of §3.1.
+/// The shipped branch trace: the bitvector of §3.1, and the stream type
+/// of both formats.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct BranchTrace {
     bits: Vec<u8>,
@@ -124,11 +185,23 @@ impl BranchTrace {
 
     /// Builds a trace from plain directions (test support).
     pub fn from_bools(dirs: &[bool]) -> Self {
-        let mut log = BitLog::new();
-        for d in dirs {
-            log.push(*d);
+        let mut t = Self::default();
+        for &d in dirs {
+            t.push(d);
         }
-        log.finish()
+        t
+    }
+
+    /// Appends one direction.
+    pub fn push(&mut self, taken: bool) {
+        let byte = (self.n_bits / 8) as usize;
+        if byte == self.bits.len() {
+            self.bits.push(0);
+        }
+        if taken {
+            self.bits[byte] |= 1 << (self.n_bits % 8);
+        }
+        self.n_bits += 1;
     }
 
     /// Number of recorded bits.
@@ -163,28 +236,31 @@ impl BranchTrace {
     /// Rebuilds a trace from raw backing bytes (the wire decoder).
     /// Returns `None` when the byte count cannot hold `n_bits`.
     pub fn from_raw(bits: Vec<u8>, n_bits: u64) -> Option<Self> {
-        if (bits.len() as u64) < n_bits.div_ceil(8) {
-            return None;
-        }
-        Some(BranchTrace { bits, n_bits })
+        let t = BranchTrace { bits, n_bits };
+        (!t.is_short()).then_some(t)
     }
 
-    /// A cursor for sequential replay consumption.
-    pub fn cursor(&self) -> TraceCursor<'_> {
-        TraceCursor {
-            trace: self,
-            pos: 0,
-        }
+    /// True when the bit count exceeds the bytes carried — possible only
+    /// in a trace deserialized from external JSON.
+    fn is_short(&self) -> bool {
+        self.bytes() > self.bits.len() as u64
+    }
+
+    /// Clamps the bit count to the bytes carried, so a short trace reads
+    /// like a truncated one. The derived `Deserialize` cannot reject a
+    /// report whose `n_bits` outruns its `bits`, so consumers normalize
+    /// at the trust boundary ([`TraceLog::normalize`]).
+    fn normalize(&mut self) {
+        self.n_bits = self.n_bits.min((self.bits.len() as u64).saturating_mul(8));
     }
 
     /// Truncates to the first `n` bits (failure-injection tests).
     pub fn truncated(&self, n: u64) -> BranchTrace {
-        let n = n.min(self.n_bits);
-        let mut out = BitLog::new();
-        for i in 0..n {
+        let mut out = BranchTrace::default();
+        for i in 0..n.min(self.n_bits) {
             out.push(self.get(i).expect("index in range"));
         }
-        out.finish()
+        out
     }
 
     /// Flips bit `i` (corruption-injection tests).
@@ -195,169 +271,6 @@ impl BranchTrace {
             c.bits[byte] ^= 1 << (i % 8);
         }
         c
-    }
-}
-
-/// Sequential reader over a [`BranchTrace`].
-#[derive(Debug, Clone)]
-pub struct TraceCursor<'t> {
-    trace: &'t BranchTrace,
-    pos: u64,
-}
-
-impl<'t> TraceCursor<'t> {
-    /// Takes the next recorded direction, if any remain.
-    pub fn next_bit(&mut self) -> Option<bool> {
-        let b = self.trace.get(self.pos)?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    /// Bits consumed so far.
-    pub fn consumed(&self) -> u64 {
-        self.pos
-    }
-
-    /// True when every recorded bit has been consumed.
-    pub fn exhausted(&self) -> bool {
-        self.pos >= self.trace.len()
-    }
-
-    /// Bits remaining.
-    pub fn remaining(&self) -> u64 {
-        self.trace.len() - self.pos
-    }
-}
-
-/// An append-only log holding one bit stream per branch location (the
-/// per-location-cursor log format).
-///
-/// Flush accounting is shared across streams — the runtime still owns a
-/// single 4 KiB buffer, it just tags buffered bits with their location —
-/// so the flush cadence matches the flat format for the same bit volume.
-/// Each push charges [`BRANCH_LOG_COST`] plus [`CURSOR_STEP_COST`] for
-/// the cursor-table indirection; the extra units are accumulated in
-/// [`spend_units`](CursorLog::spend_units) so the instrumentation-spend
-/// columns of the tables stay honest about what the format costs.
-#[derive(Debug, Clone)]
-pub struct CursorLog {
-    /// Stream of each location, indexed by location id; `None` until the
-    /// location records its first bit.
-    streams: Vec<Option<BitLog>>,
-    /// Locations whose stream exists.
-    n_streams: usize,
-    n_bits: u64,
-    buffered_bits: usize,
-    flushes: u64,
-    buffer_bytes: usize,
-    spend_units: u64,
-}
-
-impl Default for CursorLog {
-    fn default() -> Self {
-        Self::with_buffer_size(LOG_BUFFER_BYTES)
-    }
-}
-
-impl CursorLog {
-    /// Creates an empty cursor log with the paper's 4 KiB buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a cursor log with a custom flush-buffer size.
-    pub fn with_buffer_size(buffer_bytes: usize) -> Self {
-        CursorLog {
-            streams: Vec::new(),
-            n_streams: 0,
-            n_bits: 0,
-            buffered_bits: 0,
-            flushes: 0,
-            buffer_bytes: buffer_bytes.max(1),
-            spend_units: 0,
-        }
-    }
-
-    /// Appends one direction to location `loc`'s stream, returning the
-    /// cost units charged (flat per-bit cost + cursor indirection, plus
-    /// the flush amortization when the shared buffer fills).
-    pub fn push(&mut self, loc: u32, taken: bool) -> u64 {
-        let i = loc as usize;
-        if i >= self.streams.len() {
-            self.streams.resize_with(i + 1, || None);
-        }
-        let stream = self.streams[i].get_or_insert_with(|| {
-            self.n_streams += 1;
-            // Per-stream BitLogs never flush on their own: the shared
-            // buffer below owns the flush cadence.
-            BitLog::with_buffer_size(usize::MAX)
-        });
-        let _ = stream.push(taken);
-        self.n_bits += 1;
-        self.buffered_bits += 1;
-        self.spend_units += CURSOR_STEP_COST;
-        let mut cost = BRANCH_LOG_COST + CURSOR_STEP_COST;
-        if self.buffered_bits >= self.buffer_bytes.saturating_mul(8) {
-            self.buffered_bits = 0;
-            self.flushes += 1;
-            cost += LOG_FLUSH_COST;
-        }
-        cost
-    }
-
-    /// Total bits recorded across all streams.
-    pub fn len(&self) -> u64 {
-        self.n_bits
-    }
-
-    /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.n_bits == 0
-    }
-
-    /// Buffer flushes performed.
-    pub fn flushes(&self) -> u64 {
-        self.flushes
-    }
-
-    /// Branch locations with at least one recorded bit.
-    pub fn n_locations(&self) -> usize {
-        self.n_streams
-    }
-
-    /// Extra instrumentation units spent on cursor maintenance (the
-    /// spend counter: what this format costs over flat).
-    pub fn spend_units(&self) -> u64 {
-        self.spend_units
-    }
-
-    /// Every stream's current length, sorted by location — the snapshot
-    /// a checkpointing plan records at each logged syscall boundary
-    /// (the syscall-anchored cursor checkpoint escalation rule).
-    pub fn positions(&self) -> Vec<(u32, u64)> {
-        let mut out = Vec::with_capacity(self.n_streams);
-        for (loc, s) in self.streams.iter().enumerate() {
-            if let Some(s) = s {
-                out.push((loc as u32, s.len()));
-            }
-        }
-        out
-    }
-
-    /// Finalizes into an immutable, shippable cursor trace.
-    pub fn finish(self) -> CursorTrace {
-        // Exact capacity: a fleet holds tens of thousands of finished
-        // traces, so none may keep the dense table's allocation.
-        let mut streams = Vec::with_capacity(self.n_streams);
-        for (loc, log) in self.streams.into_iter().enumerate() {
-            if let Some(log) = log {
-                streams.push(LocStream {
-                    loc: loc as u32,
-                    bits: log.finish(),
-                });
-            }
-        }
-        CursorTrace { streams }
     }
 }
 
@@ -414,19 +327,31 @@ impl CursorTrace {
             .map(|i| &self.streams[i].bits)
     }
 
-    /// Re-establishes the sorted-unique-location invariant that
-    /// [`stream`](CursorTrace::stream) and [`encode`](CursorTrace::encode)
-    /// rely on. Construction paths (`CursorLog::finish`, `from_streams`,
-    /// `decode`) uphold it already; a report deserialized from external
-    /// JSON may not — the derived `Deserialize` has no validation hook,
-    /// so consumers normalize at the trust boundary. Duplicate locations
-    /// keep their first stream. No-op (no allocation) when already valid.
+    /// Re-establishes the invariants that [`stream`](CursorTrace::stream)
+    /// and [`encode`](CursorTrace::encode) rely on: sorted unique
+    /// locations, and no stream declaring more bits than its bytes carry
+    /// (such a stream is clamped to its bytes). Construction paths
+    /// ([`BranchLog::finish`], `from_streams`, `decode`) uphold them
+    /// already; a report deserialized from external JSON may not — the
+    /// derived `Deserialize` has no validation hook, so consumers
+    /// normalize at the trust boundary. Duplicate locations keep their
+    /// first stream. No-op (no allocation) when already valid.
     pub fn normalize(&mut self) {
+        for s in &mut self.streams {
+            s.bits.normalize();
+        }
         if self.streams.windows(2).all(|w| w[0].loc < w[1].loc) {
             return;
         }
         self.streams.sort_by_key(|s| s.loc);
         self.streams.dedup_by_key(|s| s.loc);
+    }
+
+    /// True when [`normalize`](CursorTrace::normalize) would change
+    /// nothing.
+    fn is_normal(&self) -> bool {
+        self.streams.windows(2).all(|w| w[0].loc < w[1].loc)
+            && !self.streams.iter().any(|s| s.bits.is_short())
     }
 
     /// All streams, sorted by location id.
@@ -453,10 +378,11 @@ impl CursorTrace {
     /// varint location-id delta, a varint bit count, and the packed bit
     /// bytes. Location ids are strictly increasing, so deltas stay small.
     pub fn encode(&self) -> Vec<u8> {
-        // The delta encoding needs the sorted-unique invariant; encode
-        // through a normalized copy if a deserialized trace lacks it
-        // (otherwise the id delta underflows).
-        if !self.streams.windows(2).all(|w| w[0].loc < w[1].loc) {
+        // The delta encoding needs the sorted-unique invariant and every
+        // stream's bytes; encode through a normalized copy if a
+        // deserialized trace lacks them (otherwise the id delta
+        // underflows, or the byte slice runs past a short stream).
+        if !self.is_normal() {
             let mut c = self.clone();
             c.normalize();
             return c.encode();
@@ -633,11 +559,15 @@ impl TraceLog {
         }
     }
 
-    /// Re-establishes the cursor invariant after deserialization (see
-    /// [`CursorTrace::normalize`]); no-op for flat logs.
+    /// Re-establishes the invariants a deserialized log may break: every
+    /// stream's bit count is clamped to the bytes it carries, so a short
+    /// stream reads like a truncated one, and a per-location log gets
+    /// sorted unique streams ([`CursorTrace::normalize`]). Replay and
+    /// triage call it at their trust boundary.
     pub fn normalize(&mut self) {
-        if let TraceLog::Cursors(c) = self {
-            c.normalize();
+        match self {
+            TraceLog::Flat(t) => t.normalize(),
+            TraceLog::Cursors(c) => c.normalize(),
         }
     }
 
@@ -716,18 +646,20 @@ mod tests {
 
     #[test]
     fn each_bit_costs_seventeen() {
-        let mut log = BitLog::new();
-        assert_eq!(log.push(true), BRANCH_LOG_COST);
-        assert_eq!(log.push(false), BRANCH_LOG_COST);
+        let mut log = BranchLog::new(LogFormat::Flat);
+        assert_eq!(log.push(0, true), BRANCH_LOG_COST);
+        assert_eq!(log.push(3, false), BRANCH_LOG_COST);
+        assert_eq!(log.spend_units(), 0);
+        assert_eq!(log.n_locations(), 0, "flat keeps no location table");
     }
 
     #[test]
     fn flush_fires_every_buffer_of_bits() {
-        let mut log = BitLog::new();
+        let mut log = BranchLog::new(LogFormat::Flat);
         let bits_per_buffer = (LOG_BUFFER_BYTES * 8) as u64;
         let mut total = 0u64;
         for _ in 0..bits_per_buffer * 2 {
-            total += log.push(true);
+            total += log.push(0, true);
         }
         assert_eq!(log.flushes(), 2);
         assert_eq!(
@@ -740,19 +672,6 @@ mod tests {
     fn bytes_round_up() {
         let t = BranchTrace::from_bools(&[true; 9]);
         assert_eq!(t.bytes(), 2);
-    }
-
-    #[test]
-    fn cursor_consumes_in_order() {
-        let t = BranchTrace::from_bools(&[true, false, true]);
-        let mut c = t.cursor();
-        assert_eq!(c.next_bit(), Some(true));
-        assert_eq!(c.next_bit(), Some(false));
-        assert!(!c.exhausted());
-        assert_eq!(c.next_bit(), Some(true));
-        assert!(c.exhausted());
-        assert_eq!(c.next_bit(), None);
-        assert_eq!(c.consumed(), 3);
     }
 
     #[test]
@@ -778,11 +697,10 @@ mod tests {
         fn trace_stores_arbitrary_sequences(dirs in proptest::collection::vec(any::<bool>(), 0..2000)) {
             let t = BranchTrace::from_bools(&dirs);
             prop_assert_eq!(t.len(), dirs.len() as u64);
-            let mut c = t.cursor();
-            for d in &dirs {
-                prop_assert_eq!(c.next_bit(), Some(*d));
+            for (i, d) in dirs.iter().enumerate() {
+                prop_assert_eq!(t.get(i as u64), Some(*d));
             }
-            prop_assert!(c.exhausted());
+            prop_assert_eq!(t.get(dirs.len() as u64), None);
         }
     }
 
@@ -869,8 +787,28 @@ mod tests {
     }
 
     #[test]
+    fn normalize_clamps_short_streams() {
+        // A hand-crafted JSON report can declare more bits than its
+        // bytes carry; normalized, the stream reads like a truncated one.
+        let json = r#"{"streams":[
+            {"loc":2,"bits":{"bits":[],"n_bits":5}},
+            {"loc":4,"bits":{"bits":[5],"n_bits":70}}]}"#;
+        let mut t: CursorTrace = serde_json::from_str(json).unwrap();
+        let wire = t.encode();
+        t.normalize();
+        assert_eq!(CursorTrace::decode(&wire), Some(t.clone()));
+        assert_eq!(t.stream(2).unwrap().len(), 0);
+        assert_eq!(t.stream(4).unwrap().len(), 8);
+        assert_eq!(t.stream(4).unwrap().get(2), Some(true));
+        let mut flat = TraceLog::Flat(serde_json::from_str(r#"{"bits":[1],"n_bits":9}"#).unwrap());
+        flat.normalize();
+        assert_eq!(flat.len(), 8);
+        assert_eq!(flat.as_flat().unwrap().get(0), Some(true));
+    }
+
+    #[test]
     fn cursor_log_splits_streams_and_charges_the_spend() {
-        let mut log = CursorLog::new();
+        let mut log = BranchLog::new(LogFormat::PerLocation);
         let c0 = log.push(4, true);
         assert_eq!(c0, BRANCH_LOG_COST + CURSOR_STEP_COST);
         log.push(9, false);
@@ -878,23 +816,13 @@ mod tests {
         assert_eq!(log.len(), 3);
         assert_eq!(log.n_locations(), 2);
         assert_eq!(log.spend_units(), 3 * CURSOR_STEP_COST);
+        assert_eq!(log.positions(), vec![(4, 2), (9, 1)]);
         let t = log.finish();
+        let t = t.as_cursors().expect("per-location log");
         assert_eq!(t.stream(4).unwrap().len(), 2);
         assert_eq!(t.stream(4).unwrap().get(0), Some(true));
         assert_eq!(t.stream(4).unwrap().get(1), Some(false));
         assert_eq!(t.stream(9).unwrap().get(0), Some(false));
-    }
-
-    #[test]
-    fn cursor_log_flush_cadence_matches_flat_for_same_volume() {
-        let mut cursor = CursorLog::new();
-        let mut flat = BitLog::new();
-        let bits = (LOG_BUFFER_BYTES * 8) as u64 * 2 + 5;
-        for i in 0..bits {
-            cursor.push((i % 3) as u32, i % 2 == 0);
-            flat.push(i % 2 == 0);
-        }
-        assert_eq!(cursor.flushes(), flat.flushes());
     }
 
     #[test]
@@ -921,19 +849,30 @@ mod tests {
         // both log formats must agree: the flat log replays the global
         // order, and each cursor stream replays exactly that location's
         // subsequence — read per location, the cursor format yields the
-        // same directions the flat format yields globally.
+        // same directions the flat format yields globally. At any buffer
+        // size, every push charges the same rule: the per-location charge
+        // is the flat one plus exactly the cursor step, so both formats
+        // flush at the same pushes.
         #[test]
         fn cursor_and_flat_formats_record_identically(
             seq in proptest::collection::vec((0u32..6, any::<bool>()), 0..600),
+            buffer_bytes in 1usize..65,
         ) {
-            let mut flat = BitLog::new();
-            let mut cursors = CursorLog::new();
+            let mut flat = BranchLog::with_buffer_size(LogFormat::Flat, buffer_bytes);
+            let mut cursors = BranchLog::with_buffer_size(LogFormat::PerLocation, buffer_bytes);
             for (loc, taken) in &seq {
-                flat.push(*taken);
-                cursors.push(*loc, *taken);
+                let charge = flat.push(*loc, *taken);
+                prop_assert_eq!(cursors.push(*loc, *taken), charge + CURSOR_STEP_COST);
+                prop_assert_eq!(cursors.flushes(), flat.flushes());
             }
-            let flat = TraceLog::Flat(flat.finish());
-            let cursor = TraceLog::Cursors(cursors.finish());
+            prop_assert_eq!(
+                flat.flushes(),
+                seq.len() as u64 / (buffer_bytes as u64 * 8)
+            );
+            prop_assert_eq!(cursors.spend_units(), seq.len() as u64 * CURSOR_STEP_COST);
+            prop_assert_eq!(flat.spend_units(), 0);
+            let flat = flat.finish();
+            let cursor = cursors.finish();
             prop_assert_eq!(flat.len(), cursor.len());
             // Wire round-trip of the cursor form.
             let wire = cursor.as_cursors().unwrap().encode();

@@ -71,11 +71,6 @@ impl SyscallLog {
     pub fn bytes(&self) -> u64 {
         self.records.iter().map(SysRecord::wire_bytes).sum()
     }
-
-    /// A sequential reader.
-    pub fn cursor(&self) -> SysCursor<'_> {
-        SysCursor { log: self, pos: 0 }
-    }
 }
 
 fn varint_len(v: i64) -> u64 {
@@ -86,36 +81,6 @@ fn varint_len(v: i64) -> u64 {
         n += 1;
     }
     n
-}
-
-/// Sequential reader over a [`SyscallLog`].
-#[derive(Debug, Clone)]
-pub struct SysCursor<'l> {
-    log: &'l SyscallLog,
-    pos: usize,
-}
-
-impl<'l> SysCursor<'l> {
-    /// Takes the next record if it matches the expected call; a mismatch
-    /// means the replay diverged before this syscall.
-    pub fn next_for(&mut self, sys: Sys) -> Option<&'l SysRecord> {
-        let rec = self.log.records.get(self.pos)?;
-        if rec.sys != sys {
-            return None;
-        }
-        self.pos += 1;
-        Some(rec)
-    }
-
-    /// Records consumed so far.
-    pub fn consumed(&self) -> usize {
-        self.pos
-    }
-
-    /// True when the log is fully consumed.
-    pub fn exhausted(&self) -> bool {
-        self.pos >= self.log.records.len()
-    }
 }
 
 #[cfg(test)]
@@ -146,26 +111,6 @@ mod tests {
         assert_eq!(c1, SYSCALL_LOG_COST);
         assert_eq!(log.len(), 2);
         assert!(log.bytes() >= 4);
-    }
-
-    #[test]
-    fn cursor_enforces_call_ordering() {
-        let mut log = SyscallLog::new();
-        log.push(SysRecord {
-            sys: Sys::Read,
-            ret: 5,
-            flags: vec![],
-        });
-        log.push(SysRecord {
-            sys: Sys::Select,
-            ret: 1,
-            flags: vec![1],
-        });
-        let mut c = log.cursor();
-        assert!(c.next_for(Sys::Select).is_none(), "order mismatch detected");
-        assert_eq!(c.next_for(Sys::Read).unwrap().ret, 5);
-        assert_eq!(c.next_for(Sys::Select).unwrap().flags, vec![1]);
-        assert!(c.exhausted());
     }
 
     #[test]

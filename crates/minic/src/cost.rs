@@ -71,12 +71,6 @@ pub struct Meter {
     pub syscalls: u64,
     /// Cost units attributable to instrumentation (logging + flushes).
     pub instrumentation_units: u64,
-    /// Bits of branch log produced.
-    pub log_bits: u64,
-    /// Log buffer flushes performed.
-    pub log_flushes: u64,
-    /// Bytes of syscall-result log produced.
-    pub syscall_log_bytes: u64,
 }
 
 impl Meter {
@@ -99,12 +93,6 @@ impl Meter {
             return 100.0;
         }
         self.units as f64 * 100.0 / baseline.units as f64
-    }
-
-    /// Total branch-log bytes (bits rounded up), the storage metric of
-    /// Figure 4(b).
-    pub fn log_bytes(&self) -> u64 {
-        self.log_bits.div_ceil(8)
     }
 }
 
@@ -143,14 +131,5 @@ mod tests {
         m.charge_instrumentation(17);
         assert_eq!(m.units, 27);
         assert_eq!(m.instrumentation_units, 17);
-    }
-
-    #[test]
-    fn log_bytes_round_up() {
-        let m = Meter {
-            log_bits: 9,
-            ..Meter::default()
-        };
-        assert_eq!(m.log_bytes(), 2);
     }
 }

@@ -118,8 +118,8 @@ pub struct ReplayHost<'s> {
     pub env: ReplayEnv,
     /// The instrumentation plan (retained by the developer).
     pub plan: &'s Plan,
-    /// This run's reader over the shipped branch log: one flat
-    /// position, or one cursor per branch location.
+    /// This run's reader over the shipped branch log: one position per
+    /// stream (the flat log is stream 0).
     pub log: LogReader<'s>,
     /// Input variable tables.
     pub vars: &'s InputVars,

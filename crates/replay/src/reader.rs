@@ -2,10 +2,11 @@
 //!
 //! Replay reads the next recorded bit at every instrumented branch it
 //! executes, over hundreds of runs of one report. [`LogIndex`] indexes
-//! the log once per reproduction: the stream of every program branch
-//! location, and the total bit count. Each run reads through its own
-//! [`LogReader`]: a read is an array access, and exhaustion compares two
-//! counters.
+//! the log once per reproduction into one stream table — the flat log is
+//! stream 0, a per-location log has the stream of every program branch
+//! location — plus the total bit count. Each run reads through its own
+//! [`LogReader`], one position per stream: a read is an array access,
+//! and exhaustion compares two counters.
 //!
 //! A report is untrusted input, so every table here is sized by the
 //! program's branch count, never by a location id the report names. A
@@ -19,19 +20,15 @@ use std::collections::BTreeSet;
 /// reproduction and shared by every run.
 #[derive(Debug)]
 pub struct LogIndex<'t> {
-    streams: Streams<'t>,
+    /// The streams by stream id: `[flat]`, or one per program branch
+    /// location.
+    streams: Vec<Option<&'t BranchTrace>>,
+    /// True for the per-location format (stream id = location id).
+    per_location: bool,
     /// Every shipped bit, readable or not.
     total: u64,
-    /// The program's branch count: the size of every per-location table.
+    /// The program's branch count: the size of the read-location set.
     n_locations: usize,
-}
-
-#[derive(Debug)]
-enum Streams<'t> {
-    /// The flat bitvector, read at one global position.
-    Flat(&'t BranchTrace),
-    /// The stream of each program branch location, by location id.
-    Cursors(Vec<Option<&'t BranchTrace>>),
 }
 
 impl<'t> LogIndex<'t> {
@@ -40,7 +37,7 @@ impl<'t> LogIndex<'t> {
     /// ([`TraceLog::normalize`]): one stream per location.
     pub fn new(trace: &'t TraceLog, n_locations: usize) -> Self {
         let streams = match trace {
-            TraceLog::Flat(t) => Streams::Flat(t),
+            TraceLog::Flat(t) => vec![Some(t)],
             TraceLog::Cursors(c) => {
                 let mut by_loc = vec![None; n_locations];
                 for s in c.streams() {
@@ -48,11 +45,12 @@ impl<'t> LogIndex<'t> {
                         *slot = Some(&s.bits);
                     }
                 }
-                Streams::Cursors(by_loc)
+                by_loc
             }
         };
         LogIndex {
             streams,
+            per_location: matches!(trace, TraceLog::Cursors(_)),
             total: trace.len(),
             n_locations,
         }
@@ -60,28 +58,30 @@ impl<'t> LogIndex<'t> {
 
     /// A reader at the start of the log, for one run.
     pub fn reader(&self) -> LogReader<'_> {
-        let positions = match self.streams {
-            Streams::Flat(_) => 0,
-            Streams::Cursors(_) => self.n_locations,
-        };
         LogReader {
             index: self,
-            flat: 0,
-            pos: vec![0; positions],
+            pos: vec![0; self.streams.len()],
             consumed: 0,
             read: vec![0; self.n_locations.div_ceil(64)],
         }
     }
+
+    /// The stream branch location `loc` reads from.
+    fn stream_of(&self, loc: u32) -> usize {
+        if self.per_location {
+            loc as usize
+        } else {
+            0
+        }
+    }
 }
 
-/// One run's read positions over a [`LogIndex`]: one flat position, or
-/// one cursor per branch location.
+/// One run's read positions over a [`LogIndex`]: one position per
+/// stream.
 #[derive(Debug)]
 pub struct LogReader<'i> {
     index: &'i LogIndex<'i>,
-    /// The global position (flat logs).
-    flat: u64,
-    /// Each location's position (per-location logs; empty for flat).
+    /// Each stream's position.
     pos: Vec<u64>,
     /// Bits read so far.
     consumed: u64,
@@ -97,26 +97,17 @@ impl LogReader<'_> {
     /// at the crash), or the per-location log has no stream for `loc`.
     pub fn next_bit(&mut self, loc: u32) -> Option<bool> {
         let i = loc as usize;
-        let b = match &self.index.streams {
-            Streams::Flat(t) => {
-                let b = t.get(self.flat)?;
-                self.flat += 1;
-                b
+        let s = self.index.stream_of(loc);
+        let trace = self.index.streams.get(s).copied().flatten()?;
+        let p = &mut self.pos[s];
+        let Some(b) = trace.get(*p) else {
+            if self.index.per_location && *p == 0 {
+                // An empty stream still shows in `positions`.
+                self.mark(i);
             }
-            Streams::Cursors(by_loc) => {
-                let s = by_loc.get(i).copied().flatten()?;
-                let p = &mut self.pos[i];
-                let Some(b) = s.get(*p) else {
-                    if *p == 0 {
-                        // An empty stream still shows in `positions`.
-                        self.mark(i);
-                    }
-                    return None;
-                };
-                *p += 1;
-                b
-            }
+            return None;
         };
+        *p += 1;
         self.consumed += 1;
         self.mark(i);
         Some(b)
@@ -145,7 +136,7 @@ impl LogReader<'_> {
 
     /// True for the per-location log format.
     pub fn per_location(&self) -> bool {
-        matches!(self.index.streams, Streams::Cursors(_))
+        self.index.per_location
     }
 
     /// Total bits consumed (across all streams).
@@ -161,10 +152,10 @@ impl LogReader<'_> {
     /// The cursor position of one location (0 if never consumed). For a
     /// flat log this is the global position regardless of `loc`.
     pub fn position(&self, loc: u32) -> u64 {
-        match self.index.streams {
-            Streams::Flat(_) => self.flat,
-            Streams::Cursors(_) => self.pos.get(loc as usize).copied().unwrap_or(0),
-        }
+        self.pos
+            .get(self.index.stream_of(loc))
+            .copied()
+            .unwrap_or(0)
     }
 
     /// The position of every location this run asked its stream for a
@@ -191,7 +182,7 @@ impl LogReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use instrument::{BitLog, CursorLog, CursorTrace};
+    use instrument::{BranchLog, CursorTrace, LogFormat};
     use proptest::prelude::*;
 
     #[test]
@@ -236,14 +227,13 @@ mod tests {
         fn flat_and_cursor_logs_read_identically(
             seq in proptest::collection::vec((0u32..70, any::<bool>()), 0..600),
         ) {
-            let mut flat = BitLog::new();
-            let mut cursors = CursorLog::new();
+            let mut flat = BranchLog::new(LogFormat::Flat);
+            let mut cursors = BranchLog::new(LogFormat::PerLocation);
             for (loc, taken) in &seq {
-                flat.push(*taken);
+                flat.push(*loc, *taken);
                 cursors.push(*loc, *taken);
             }
-            let flat = TraceLog::Flat(flat.finish());
-            let cursor = TraceLog::Cursors(cursors.finish());
+            let (flat, cursor) = (flat.finish(), cursors.finish());
             let (fi, ci) = (LogIndex::new(&flat, 70), LogIndex::new(&cursor, 70));
             let (mut fc, mut cc) = (fi.reader(), ci.reader());
             for (loc, taken) in &seq {

@@ -29,7 +29,7 @@ use instrument::{BugReport, Method, Plan};
 use oskit::KernelConfig;
 use replay::InputParts;
 use retrace_core::metrics::TriageRow;
-use retrace_core::{mix_seed, AnalysisBundle, SearchPolicy, Workbench};
+use retrace_core::{mix_seed, SearchPolicy, Workbench};
 use search::pool::parallel_map;
 
 use crate::cluster::{class_key, crash_digest, report_digest, ClassKey, DEFAULT_PREFIX_BITS};
@@ -124,10 +124,9 @@ pub struct Submission {
     pub report: BugReport,
 }
 
-/// Per-binary prepared state: the once-per-binary analysis artifacts.
+/// Per-binary prepared state: the plan built from the once-per-binary
+/// analysis.
 struct Prepared {
-    #[allow(dead_code)]
-    bundle: AnalysisBundle,
     plan: Plan,
 }
 
@@ -137,8 +136,6 @@ pub struct TriageLedger {
     /// Full analysis passes (concolic + static + plan build). Batched
     /// triage: one per distinct binary. Naive baseline: one per report.
     pub analyses: usize,
-    /// Instrumentation plans built (tracks `analyses`).
-    pub plans: usize,
     /// Deployments executed through [`TriagePipeline::deploy`].
     pub deployments: usize,
     /// Deployments that exited healthy (no report).
@@ -296,8 +293,7 @@ impl TriagePipeline {
         let bundle = fb.analysis_workbench().analyze(fb.analysis_runs);
         let plan = fb.wb.plan(fb.method, &bundle);
         self.ledger.analyses += 1;
-        self.ledger.plans += 1;
-        self.prepared[id] = Some(Prepared { bundle, plan });
+        self.prepared[id] = Some(Prepared { plan });
     }
 
     /// Runs one deployment of `binary` under its (lazily prepared) plan
@@ -336,8 +332,11 @@ impl TriagePipeline {
         binary: usize,
         spec: InputSpec,
         kernel: KernelConfig,
-        report: BugReport,
+        mut report: BugReport,
     ) {
+        // The trust boundary, as in `ReplayEngine::new`: clustering and
+        // digests read the trace before any replay does.
+        report.trace.normalize();
         self.prepare(binary);
         self.ledger.reports += 1;
         self.ledger.per_binary[binary].1 += 1;
